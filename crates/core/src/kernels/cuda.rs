@@ -306,15 +306,13 @@ impl CudaSpmm {
         }
     }
 
-    /// Numerical result: exact at FP32; operand-quantized otherwise.
-    /// Either way output rows are computed on the hc-parallel pool, one
-    /// worker per row, in the serial entry order — bit-identical at any
-    /// thread count. Split out so a cached plan can pair it with cached
-    /// block costs.
+    /// Numerical result: exact at FP32 (the same operations, in the same
+    /// order, as [`Csr::spmm_reference`]); operand-quantized otherwise, with
+    /// the precision dispatched once per non-zero by [`Precision::axpy`].
+    /// Output rows are computed on the hc-parallel pool, one worker per row,
+    /// in the serial entry order — bit-identical at any thread count. Split
+    /// out so a cached plan can pair it with cached block costs.
     pub fn numeric(&self, a: &Csr, x: &DenseMatrix) -> DenseMatrix {
-        if self.precision == Precision::Fp32 {
-            return a.spmm_reference(x);
-        }
         let mut z = DenseMatrix::zeros(a.nrows, x.cols);
         if a.nrows > 0 && x.cols > 0 {
             let p = self.precision;
@@ -322,11 +320,7 @@ impl CudaSpmm {
             hc_parallel::par_chunks_mut(&mut z.data, x.cols, work, |r, zrow| {
                 let (s, e) = a.row_range(r);
                 for i in s..e {
-                    let v = p.quantize(a.vals[i]);
-                    let xrow = x.row(a.col_idx[i] as usize);
-                    for (o, &xv) in zrow.iter_mut().zip(xrow) {
-                        *o += v * p.quantize(xv);
-                    }
+                    p.axpy(a.vals[i], x.row(a.col_idx[i] as usize), zrow);
                 }
             });
         }

@@ -12,7 +12,7 @@ use graph_sparse::{Csr, DenseMatrix, RowWindow};
 
 use super::cuda::CudaSpmm;
 use super::tensor::TensorSpmm;
-use super::{SpmmKernel, SpmmResult};
+use super::{window_numeric_into, SpmmKernel, SpmmResult};
 use crate::preprocess::{preprocess, preprocess_oracle, Preprocessed};
 use crate::selector::{CoreChoice, SelectionPolicy, Selector};
 
@@ -208,7 +208,10 @@ impl HcSpmm {
     }
 
     /// Numerical result under the current assignment: CUDA windows compute
-    /// exact f32; Tensor windows compute at the configured precision.
+    /// at the CUDA kernel's precision (exact f32 by default), Tensor windows
+    /// at the configured Tensor precision. Each window picks its core's
+    /// precision, and `window_numeric_into` dispatches it once per
+    /// non-zero, so the loop over the dense dimension carries no dispatch.
     /// Windows tile the rows contiguously, so chunking `z.data` by
     /// `window_rows · cols` gives each pool worker exclusive ownership of
     /// its window's output rows — results are bit-identical to the serial
@@ -226,24 +229,11 @@ impl HcSpmm {
             if w.is_empty() {
                 return;
             }
-            match pre.choices[wi] {
-                CoreChoice::Cuda => {
-                    let p = self.cuda.precision;
-                    for r in w.start_row..w.start_row + w.rows {
-                        let (s, e) = a.row_range(r);
-                        let local = r - w.start_row;
-                        let zrow = &mut zc[local * cols..(local + 1) * cols];
-                        for i in s..e {
-                            let v = p.quantize(a.vals[i]);
-                            let xrow = x.row(a.col_idx[i] as usize);
-                            for (o, &xv) in zrow.iter_mut().zip(xrow) {
-                                *o += v * p.quantize(xv);
-                            }
-                        }
-                    }
-                }
-                CoreChoice::Tensor => self.tensor.window_numeric_into(a, w, x, zc),
-            }
+            let p = match pre.choices[wi] {
+                CoreChoice::Cuda => self.cuda.precision,
+                CoreChoice::Tensor => self.tensor.precision,
+            };
+            window_numeric_into(a, w, x, p, zc);
         });
         z
     }

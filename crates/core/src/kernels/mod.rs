@@ -5,8 +5,8 @@ pub mod hybrid;
 pub mod straightforward;
 pub mod tensor;
 
-use gpu_sim::{DeviceSpec, KernelRun};
-use graph_sparse::{Csr, DenseMatrix};
+use gpu_sim::{DeviceSpec, KernelRun, Precision};
+use graph_sparse::{Csr, DenseMatrix, RowWindow};
 
 /// Output of one simulated SpMM: the numerical result plus the simulated
 /// execution record.
@@ -40,6 +40,30 @@ pub trait SpmmKernel {
     /// literally that, overrides just skip the numeric phase.
     fn spmm_run(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> KernelRun {
         self.spmm(a, x, dev).run
+    }
+}
+
+/// Multiply one row window of `a` by `x` with operands quantized to `p`,
+/// accumulating in f32 into `z_window`: the window's rows of Z, row-major
+/// with `x.cols` columns and row `w.start_row` at offset 0. This is the
+/// window loop of the Tensor and hybrid kernels, where each pool worker owns
+/// exactly its window's chunk of `z.data`. The precision is dispatched once
+/// per non-zero, by [`Precision::axpy`]; the loop over the dense dimension
+/// carries no dispatch.
+pub(crate) fn window_numeric_into(
+    a: &Csr,
+    w: &RowWindow,
+    x: &DenseMatrix,
+    p: Precision,
+    z_window: &mut [f32],
+) {
+    let cols = x.cols;
+    for local in 0..w.rows {
+        let (s, e) = a.row_range(w.start_row + local);
+        let zrow = &mut z_window[local * cols..(local + 1) * cols];
+        for i in s..e {
+            p.axpy(a.vals[i], x.row(a.col_idx[i] as usize), zrow);
+        }
     }
 }
 

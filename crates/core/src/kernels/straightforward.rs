@@ -294,9 +294,11 @@ impl StraightforwardHybrid {
 
     /// Numerical result over a prebuilt partition: tiles with density ≥
     /// threshold are quantized (TF32), the rest exact — per entry, by its
-    /// column's rank in the window. All ranking state is window-local, and
-    /// windows tile the rows contiguously, so each pool worker owns its
-    /// window's chunk of z.data exclusively (chunk index == window index).
+    /// column's rank in the window, which picks the precision that
+    /// [`Precision::axpy`] runs the entry's dense row at. All ranking state
+    /// is window-local, and windows tile the rows contiguously, so each pool
+    /// worker owns its window's chunk of z.data exclusively (chunk index ==
+    /// window index).
     /// Split out so a cached plan can pair it with cached block costs.
     pub fn partition_numeric(
         &self,
@@ -340,20 +342,12 @@ impl StraightforwardHybrid {
                         let t = tile_of(cond);
                         let dense = tile_fill[t] as f64 / (w.rows * tile_k) as f64
                             >= self.tile_density_threshold;
-                        let (av, quant) = if dense {
-                            (Precision::Tf32.quantize(a.vals[i]), true)
+                        let p = if dense {
+                            Precision::Tf32
                         } else {
-                            (a.vals[i], false)
+                            Precision::Fp32
                         };
-                        let xrow = x.row(a.col_idx[i] as usize);
-                        for (o, &xv) in zrow.iter_mut().zip(xrow) {
-                            let xq = if quant {
-                                Precision::Tf32.quantize(xv)
-                            } else {
-                                xv
-                            };
-                            *o += av * xq;
-                        }
+                        p.axpy(a.vals[i], x.row(a.col_idx[i] as usize), zrow);
                     }
                 }
             });

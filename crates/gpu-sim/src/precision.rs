@@ -70,6 +70,40 @@ impl Precision {
             Precision::Fp16 => f16_round_trip(x),
         }
     }
+
+    /// `z[j] += q(a) · q(x[j])` for every `j`, where `q` is
+    /// [`quantize`](Precision::quantize): one non-zero `a` of a sparse row
+    /// times one dense row `x`, accumulated in f32 into the output row `z`.
+    /// This is the inner loop of every numeric kernel path. The precision is
+    /// matched once per call, and each arm runs a loop monomorphized for its
+    /// format (FP32 is a plain multiply-add), so the loop over the dense
+    /// dimension carries no dispatch; the FP32, TF32 and BF16 loops
+    /// vectorize. Products and their order are those of the per-element
+    /// `quantize` loop, so results are bit-identical to it.
+    ///
+    /// ```
+    /// use gpu_sim::Precision;
+    /// let mut z = [1.0, 1.0];
+    /// Precision::Tf32.axpy(2.0, &[0.5, 1.0 + f32::EPSILON], &mut z);
+    /// assert_eq!(z, [2.0, 3.0]);
+    /// ```
+    pub fn axpy(self, a: f32, x: &[f32], z: &mut [f32]) {
+        match self {
+            Precision::Fp32 => axpy_with(a, x, z, |v| v),
+            Precision::Tf32 => axpy_with(a, x, z, |v| truncate_mantissa_rne(v, 10)),
+            Precision::Bf16 => axpy_with(a, x, z, |v| truncate_mantissa_rne(v, 7)),
+            Precision::Fp16 => axpy_with(a, x, z, f16_round_trip),
+        }
+    }
+}
+
+/// [`Precision::axpy`]'s loop for one quantizer `q`, inlined into each arm.
+#[inline(always)]
+fn axpy_with(a: f32, x: &[f32], z: &mut [f32], q: impl Fn(f32) -> f32) {
+    let a = q(a);
+    for (o, &xv) in z.iter_mut().zip(x) {
+        *o += a * q(xv);
+    }
 }
 
 /// Round `x` to `bits` mantissa bits (keeping the f32 exponent range) with

@@ -7,15 +7,24 @@
 //! anywhere in the file, whole records duplicated, and records whose
 //! logged post-apply fingerprint disagrees with the delta.
 
+use hc_parallel::sync::{AtomicU64, Ordering};
 use std::path::PathBuf;
 
 use graph_sparse::{gen, DeltaCsr, StructureFingerprint};
 use hc_serve::{CacheStats, DeltaRecord, EpochMarker, FrontCounters, Snapshot, Wal, WalRecord};
 use proptest::prelude::*;
 
+/// A temp path no other test in this process can be using: concurrent
+/// proptests draw the same `name` (e.g. the same WAL length), so the pid
+/// alone would let one test delete the file another is reading.
 fn scratch(name: &str) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new_untracked(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let mut p = std::env::temp_dir();
-    p.push(format!("hc-corrupt-{}-{}.bin", std::process::id(), name));
+    p.push(format!(
+        "hc-corrupt-{}-{seq}-{name}.bin",
+        std::process::id()
+    ));
     p
 }
 
