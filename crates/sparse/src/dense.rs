@@ -75,33 +75,67 @@ impl DenseMatrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Dense matrix multiply `self · other` (reference implementation; the
-    /// simulated gemm kernel lives in the `gnn` crate). Output rows are
-    /// computed on the `hc-parallel` pool, each accumulated in the serial
-    /// k-order, so results match the serial loop bit-for-bit.
+    /// Dense matrix multiply `self · other`: the host side of the GNN
+    /// Update GEMMs (their simulated cost is `hc_core::fusion::gemm_run`).
+    ///
+    /// Summation order: each output element sums its products in serial `k`
+    /// order, starting from `+0.0` and skipping `k` where `self[(r, k)]` is
+    /// `0.0`, so the result is bit-identical to the naive triple loop at any
+    /// thread count (a NaN or inf in `other` meets only non-zero factors).
+    /// The pool takes contiguous 64-row blocks of the output, and each row
+    /// keeps its accumulators in registers (see `matmul_row`).
     pub fn matmul(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let mut out = DenseMatrix::zeros(self.rows, other.cols);
         if self.rows == 0 || other.cols == 0 {
             return out;
         }
-        let work = 2 * self.rows as u64 * self.cols as u64 * other.cols as u64;
-        hc_parallel::par_chunks_mut(&mut out.data, other.cols, work, |r, out_row| {
-            for k in 0..self.cols {
-                let a = self[(r, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(orow) {
-                    *o += a * b;
+        let n = other.cols;
+        let work = 2 * self.rows as u64 * self.cols as u64 * n as u64;
+        hc_parallel::par_chunks_mut(&mut out.data, MATMUL_ROW_BLOCK * n, work, |blk, chunk| {
+            let r0 = blk * MATMUL_ROW_BLOCK;
+            for (r, out_row) in chunk.chunks_exact_mut(n).enumerate() {
+                matmul_row(self.row(r0 + r), other, out_row);
+            }
+        });
+        out
+    }
+
+    /// Transpose-free `selfᵀ · other` for two matrices that share their row
+    /// count (the weight gradient `Hᵀ·G` of a GNN layer).
+    ///
+    /// It streams the shared rows once, applying the rank-1 update
+    /// `out[i] += self[(k, i)] · other.row(k)` into the `self.cols ×
+    /// other.cols` output, which stays cache-resident. Summation order
+    /// matches [`matmul`](Self::matmul) on `self.transposed()`: serial `k`
+    /// order from `+0.0`, skipping zero factors, so the two agree bit for bit.
+    /// The pool takes one contiguous range of output rows per worker.
+    pub fn matmul_tn(&self, other: &DenseMatrix) -> DenseMatrix {
+        assert_eq!(self.rows, other.rows, "matmul_tn dimension mismatch");
+        let (p, q) = (self.cols, other.cols);
+        let mut out = DenseMatrix::zeros(p, q);
+        if p == 0 || q == 0 {
+            return out;
+        }
+        let work = 2 * self.rows as u64 * p as u64 * q as u64;
+        let rows_per_worker = p.div_ceil(hc_parallel::threads());
+        hc_parallel::par_chunks_mut(&mut out.data, rows_per_worker * q, work, |blk, chunk| {
+            let i0 = blk * rows_per_worker;
+            for k in 0..self.rows {
+                let b = other.row(k);
+                let a_row = &self.row(k)[i0..i0 + chunk.len() / q];
+                for (&a, out_row) in a_row.iter().zip(chunk.chunks_exact_mut(q)) {
+                    if a != 0.0 {
+                        axpy(a, b, out_row);
+                    }
                 }
             }
         });
         out
     }
 
-    /// Transposed copy.
+    /// Transposed copy. Meant for weight-sized matrices: a product with a
+    /// transposed left operand is [`matmul_tn`](Self::matmul_tn).
     pub fn transposed(&self) -> DenseMatrix {
         let mut t = DenseMatrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
@@ -169,6 +203,57 @@ impl DenseMatrix {
     pub fn byte_size(&self) -> u64 {
         (self.data.len() * 4) as u64
     }
+}
+
+/// Output rows per pool chunk in [`DenseMatrix::matmul`].
+const MATMUL_ROW_BLOCK: usize = 64;
+
+/// `out += a · b`, element-wise.
+#[inline(always)]
+fn axpy(a: f32, b: &[f32], out: &mut [f32]) {
+    for (o, &bv) in out.iter_mut().zip(b) {
+        *o += a * bv;
+    }
+}
+
+/// One output row of `A · other` from the row `a_row` of `A`. Columns run
+/// in const-width blocks of 16, then 8, whose accumulators stay in
+/// registers across the whole `k` loop; the last `< 8` columns accumulate
+/// in `out_row` itself. Every element sums in serial `k` order from `+0.0`.
+fn matmul_row(a_row: &[f32], other: &DenseMatrix, out_row: &mut [f32]) {
+    let n = out_row.len();
+    let mut c = 0;
+    while c + 16 <= n {
+        matmul_block::<16>(a_row, other, c, out_row);
+        c += 16;
+    }
+    if c + 8 <= n {
+        matmul_block::<8>(a_row, other, c, out_row);
+        c += 8;
+    }
+    if c < n {
+        for (&a, b) in a_row.iter().zip(other.data.chunks_exact(n)) {
+            if a != 0.0 {
+                axpy(a, &b[c..], &mut out_row[c..]);
+            }
+        }
+    }
+}
+
+/// Columns `c..c + W` of one output row, accumulated in a `[f32; W]`.
+#[inline(always)]
+fn matmul_block<const W: usize>(a_row: &[f32], other: &DenseMatrix, c: usize, out_row: &mut [f32]) {
+    let mut acc = [0.0f32; W];
+    for (&a, b) in a_row.iter().zip(other.data.chunks_exact(other.cols)) {
+        if a == 0.0 {
+            continue;
+        }
+        let b: &[f32; W] = b[c..c + W].try_into().expect("block width");
+        for (o, &bv) in acc.iter_mut().zip(b) {
+            *o += a * bv;
+        }
+    }
+    out_row[c..c + W].copy_from_slice(&acc);
 }
 
 impl Index<(usize, usize)> for DenseMatrix {

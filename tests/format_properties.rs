@@ -42,7 +42,7 @@ proptest! {
         let y = DenseMatrix::random_features(a.nrows, 4, seed);
         let lhs = a.transpose().spmm_reference(&y);
         let dense = a.to_dense();
-        let rhs = dense.transposed().matmul(&y);
+        let rhs = dense.matmul_tn(&y);
         prop_assert!(lhs.max_abs_diff(&rhs) < 1e-3);
     }
 
