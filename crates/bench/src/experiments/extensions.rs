@@ -1177,23 +1177,17 @@ pub fn recovery(_cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, Recover
             },
         )
     };
+    // Durability files in a fresh scratch directory, removed when the
+    // returned guard drops.
     let scratch = |name: &str| {
-        let dir = std::env::temp_dir();
-        let mut wal_path = dir.clone();
-        wal_path.push(format!("hc-bench-rec-{}-{}.wal", std::process::id(), name));
-        let mut snapshot_path = dir;
-        snapshot_path.push(format!("hc-bench-rec-{}-{}.snap", std::process::id(), name));
-        let _ = std::fs::remove_file(&wal_path);
-        let _ = std::fs::remove_file(&snapshot_path);
-        DurabilityConfig {
-            wal_path,
-            snapshot_path,
+        let dir = hc_parallel::fsio::scratch(&format!("bench-rec-{name}"))
+            .expect("scratch directory for the recovery experiment");
+        let cfg = DurabilityConfig {
+            wal_path: dir.join("log.wal"),
+            snapshot_path: dir.join("state.snap"),
             snapshot_every: 2,
-        }
-    };
-    let cleanup = |cfg: &DurabilityConfig| {
-        let _ = std::fs::remove_file(&cfg.wal_path);
-        let _ = std::fs::remove_file(&cfg.snapshot_path);
+        };
+        (dir, cfg)
     };
 
     let control = mk_front().run_events(&events, dev);
@@ -1201,13 +1195,12 @@ pub fn recovery(_cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, Recover
     // Uncrashed probe for the schedule horizon, then crash at its last
     // point — the longest completed prefix the recovery can be asked to
     // stand in for.
-    let cfg = scratch("probe");
+    let (_dir, cfg) = scratch("probe");
     let probe = run_to_completion(&mk_front, &cfg, &events, dev, CrashConfig::off())
         .expect("uncrashed durable run");
-    cleanup(&cfg);
     let crash_points = probe.crash_points;
 
-    let cfg = scratch("crash");
+    let (_dir, cfg) = scratch("crash");
     let out = run_to_completion(
         &mk_front,
         &cfg,
@@ -1216,7 +1209,6 @@ pub fn recovery(_cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, Recover
         CrashConfig::at(crash_points - 1),
     )
     .expect("crashed run recovers");
-    cleanup(&cfg);
     let rec = out
         .recoveries
         .first()

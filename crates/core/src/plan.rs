@@ -121,9 +121,11 @@ pub struct Plan {
     /// Structure digest of the graph the plan was prepared from; requests
     /// must match it.
     pub fingerprint: StructureFingerprint,
-    /// The digest's per-row lane checkpoints, persisted so
-    /// [`Plan::patch`] can recompute the fingerprint of a mutated graph
-    /// from the first dirty row instead of re-hashing the whole structure.
+    /// The digest's per-row-block lane checkpoints (16 bytes per
+    /// [`BLOCK_ROWS`](graph_sparse::fingerprint::BLOCK_ROWS) rows),
+    /// persisted so [`Plan::patch`] can recompute the fingerprint of a
+    /// mutated graph from the block holding the first dirty row instead of
+    /// re-hashing the whole structure.
     pub fingerprint_state: FingerprintState,
     /// Hybrid kernel configuration (also carries the CUDA and Tensor paths
     /// the single-core families execute through).
@@ -192,8 +194,9 @@ impl Plan {
     /// Work done, all proportional to the dirty suffix / dirty windows
     /// rather than the graph:
     ///
-    /// * the fingerprint resumes from the per-row lane checkpoint before
-    ///   the first dirty row ([`FingerprintState::update`]);
+    /// * the fingerprint resumes from the lane checkpoint of the row
+    ///   block holding the first dirty row
+    ///   ([`FingerprintState::update`]);
     /// * only windows containing a mutated row are re-condensed
     ///   ([`RowWindow::build`]) and re-classified by the selector —
     ///   windows the delta missed keep their condensed arrays and core

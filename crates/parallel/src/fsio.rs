@@ -14,9 +14,15 @@
 //! truncated tail. The fsync before the rename closes the
 //! data-loss-on-power-cut window that `write` + `rename` alone leaves
 //! open.
+//!
+//! [`scratch`] is the matching helper for throwaway files: a fresh
+//! directory whose name no other caller, thread or process can share,
+//! removed with its contents when dropped.
 
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+use crate::sync::{AtomicU64, Ordering};
 
 /// Atomically replace `path` with `bytes`.
 ///
@@ -52,7 +58,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// appended to the full file name (not substituted for the extension, so
 /// `a.json` and `a` never collide on the same temp name as `a.json.tmp`
 /// vs `a.tmp`).
-fn tmp_sibling(path: &Path) -> std::path::PathBuf {
+fn tmp_sibling(path: &Path) -> PathBuf {
     let mut name = path
         .file_name()
         .map(|n| n.to_os_string())
@@ -61,20 +67,76 @@ fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
+/// A fresh, empty directory under the system temp directory, removed
+/// with everything in it when dropped.
+///
+/// Made by [`scratch`]. Files created through [`Scratch::join`] — and any
+/// sibling a writer stages next to them, such as [`atomic_write`]'s
+/// `.tmp` — live and die with it.
+#[derive(Debug)]
+pub struct Scratch {
+    dir: PathBuf,
+}
+
+impl Scratch {
+    /// The directory itself.
+    pub fn path(&self) -> &Path {
+        &self.dir
+    }
+
+    /// A path for `name` inside the directory.
+    pub fn join(&self, name: &str) -> PathBuf {
+        self.dir.join(name)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        // Best effort: a leftover directory is harmless, a panic here is not.
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Create a [`Scratch`] directory named `hc-{label}-{pid}-{seq}`.
+///
+/// The process id separates concurrent processes, and `seq` — a
+/// process-wide counter — separates every call within one process, so
+/// tests running on parallel threads never share, overwrite or delete one
+/// another's files even when they pass the same `label`. A stale
+/// directory of the same name, left by an earlier process that had this
+/// pid, is cleared first.
+pub fn scratch(label: &str) -> std::io::Result<Scratch> {
+    static SEQ: AtomicU64 = AtomicU64::new_untracked(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("hc-{label}-{}-{seq}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir)?;
+    Ok(Scratch { dir })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn scratch(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("hc-fsio-{}-{}", std::process::id(), name));
-        p
+    #[test]
+    fn scratch_dirs_are_unique_and_removed_on_drop() {
+        let a = scratch("fsio-unique").expect("scratch a");
+        let b = scratch("fsio-unique").expect("scratch b");
+        assert_ne!(a.path(), b.path());
+        assert!(a.path().is_dir() && b.path().is_dir());
+        atomic_write(&a.join("f.bin"), b"x").expect("write inside scratch");
+        let dir = a.path().to_path_buf();
+        drop(a);
+        assert!(!dir.exists(), "a dropped scratch directory is removed");
+        assert!(
+            b.path().is_dir(),
+            "dropping one scratch leaves others alone"
+        );
     }
 
     #[test]
     fn writes_and_replaces() {
-        let dir = scratch("replace");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("fsio-replace").expect("scratch dir");
         let path = dir.join("nested").join("out.json");
         atomic_write(&path, b"first").expect("first write");
         assert_eq!(std::fs::read(&path).expect("read back"), b"first");
@@ -85,14 +147,11 @@ mod tests {
         );
         // No temp sibling is left behind after a successful write.
         assert!(!tmp_sibling(&path).exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn failed_write_leaves_destination_intact() {
-        let dir = scratch("intact");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = scratch("fsio-intact").expect("scratch dir");
         let path = dir.join("out.bin");
         atomic_write(&path, b"durable").expect("seed write");
         // Writing to a path whose parent is a *file* must fail without
@@ -100,7 +159,6 @@ mod tests {
         let bad = path.join("child.bin");
         assert!(atomic_write(&bad, b"x").is_err());
         assert_eq!(std::fs::read(&path).expect("read back"), b"durable");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -752,9 +752,8 @@ mod tests {
 
     #[test]
     fn calibration_persistence_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("hc-cal-test-{}", std::process::id()));
+        let dir = fsio::scratch("cal-test").expect("scratch dir");
         let path = dir.join("hc-calibration.json");
-        let _ = std::fs::remove_file(&path);
 
         // Missing file: nothing to load.
         assert!(load_calibration(&path, 4).is_none());
@@ -793,9 +792,6 @@ mod tests {
         assert!((four.spawn_ns - 200_000.0).abs() < 1.0);
         let eight = load_calibration(&path, 8).expect("merged entry");
         assert!((eight.spawn_ns - 9_000.0).abs() < 1.0);
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]

@@ -30,8 +30,11 @@ use crate::wal::{checksum, Dec, Enc, RecoveryError};
 
 /// File magic for snapshot files.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"HCSPMMSS";
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Current snapshot format version. Version 2 stores the block-chained
+/// folded-multiply [`StructureFingerprint`]; version 1 snapshots, whose
+/// fingerprints came from the earlier per-word hash, are refused with
+/// [`RecoveryError::UnsupportedVersion`].
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// The serving front's recoverable state at one epoch barrier.
 #[derive(Debug, Clone, PartialEq)]
@@ -303,6 +306,7 @@ impl Snapshot {
 mod tests {
     use super::*;
     use graph_sparse::gen;
+    use hc_parallel::fsio::scratch;
 
     fn sample() -> Snapshot {
         let g0 = gen::erdos_renyi(96, 400, 7);
@@ -332,25 +336,39 @@ mod tests {
     #[test]
     fn roundtrips_through_disk() {
         let snap = sample();
-        let mut path = std::env::temp_dir();
-        path.push(format!("hc-snap-{}-rt.bin", std::process::id()));
+        let dir = scratch("snap-rt").expect("scratch dir");
+        let path = dir.join("snap.bin");
         snap.save(&path).expect("save");
         let back = Snapshot::load(&path).expect("load");
         assert_eq!(snap, back);
         assert!(back.graph(snap.graphs[0].0).is_some());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn save_replaces_atomically() {
         let mut snap = sample();
-        let mut path = std::env::temp_dir();
-        path.push(format!("hc-snap-{}-atomic.bin", std::process::id()));
+        let dir = scratch("snap-atomic").expect("scratch dir");
+        let path = dir.join("snap.bin");
         snap.save(&path).expect("save 1");
         snap.epoch = 9;
         snap.save(&path).expect("save 2");
         assert_eq!(Snapshot::load(&path).expect("load").epoch, 9);
-        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn version_1_snapshots_are_refused() {
+        // A snapshot the version-1 build wrote: the same layout with a
+        // valid checksum, but fingerprints from the retired per-word hash,
+        // which no graph hashed today matches. It must fail on the header.
+        let mut bytes = sample().to_bytes();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let body_end = bytes.len() - 8;
+        let sum = checksum(&[&bytes[..body_end]]);
+        bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(RecoveryError::UnsupportedVersion { found: 1 })
+        ));
     }
 
     #[test]

@@ -57,8 +57,11 @@ use crate::front::FrontCounters;
 
 /// File magic for WAL files.
 pub const WAL_MAGIC: [u8; 8] = *b"HCSPMMWL";
-/// Current WAL format version.
-pub const WAL_VERSION: u32 = 1;
+/// Current WAL format version. Version 2 records carry the block-chained
+/// folded-multiply [`StructureFingerprint`]; version 1 logs, whose
+/// fingerprints came from the earlier per-word hash, are refused with
+/// [`RecoveryError::UnsupportedVersion`].
+pub const WAL_VERSION: u32 = 2;
 /// Size of the file header (magic + version).
 const HEADER_LEN: u64 = 12;
 /// Ceiling on a single record's declared length: a bit-flip in the length
@@ -828,11 +831,14 @@ enum ScanDefect {
 mod tests {
     use super::*;
     use graph_sparse::gen;
+    use hc_parallel::fsio::{scratch, Scratch};
 
-    fn scratch(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("hc-wal-{}-{}.wal", std::process::id(), name));
-        p
+    /// A WAL path inside a fresh scratch directory, which must outlive
+    /// every use of the path.
+    fn scratch_wal(label: &str) -> (Scratch, PathBuf) {
+        let dir = scratch(label).expect("scratch dir");
+        let path = dir.join("log.wal");
+        (dir, path)
     }
 
     fn sample_delta(seed: u64) -> DeltaRecord {
@@ -878,7 +884,7 @@ mod tests {
 
     #[test]
     fn append_replay_roundtrip() {
-        let path = scratch("roundtrip");
+        let (_dir, path) = scratch_wal("wal-roundtrip");
         let mut wal = Wal::create(&path).expect("create");
         let d0 = sample_delta(1);
         let d1 = sample_delta(2);
@@ -899,12 +905,11 @@ mod tests {
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(replay.rolled_back_records, 0);
         assert_eq!(replay.durable_deltas().count(), 2);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn torn_tail_rolls_back_to_marker_and_truncates() {
-        let path = scratch("torn");
+        let (_dir, path) = scratch_wal("wal-torn");
         let mut wal = Wal::create(&path).expect("create");
         wal.append_delta(&sample_delta(1)).expect("append");
         wal.append_marker(&sample_marker(0)).expect("marker");
@@ -932,12 +937,11 @@ mod tests {
         let replay = Wal::replay(&path).expect("replay");
         assert_eq!(replay.records.len(), 4);
         assert!(replay.tail_defect.is_none());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn unmarked_intact_records_roll_back_but_survive_reopen() {
-        let path = scratch("unmarked");
+        let (_dir, path) = scratch_wal("wal-unmarked");
         let mut wal = Wal::create(&path).expect("create");
         wal.append_marker(&sample_marker(0)).expect("marker");
         wal.append_delta(&sample_delta(5)).expect("append");
@@ -946,12 +950,11 @@ mod tests {
         assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.rolled_back_records, 1);
         assert_eq!(replay.durable_deltas().count(), 0);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn bit_flip_fails_checksum_not_panic() {
-        let path = scratch("flip");
+        let (_dir, path) = scratch_wal("wal-flip");
         let mut wal = Wal::create(&path).expect("create");
         wal.append_delta(&sample_delta(1)).expect("append");
         wal.append_marker(&sample_marker(0)).expect("marker");
@@ -972,7 +975,6 @@ mod tests {
                 Err(e) => panic!("unexpected hard error for bit flip at {i}: {e}"),
             }
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -993,6 +995,32 @@ mod tests {
         assert!(matches!(
             Wal::replay_bytes(&WAL_MAGIC),
             Err(RecoveryError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn version_1_files_are_refused_before_any_record() {
+        // A log the version-1 build wrote: the same framing, but its
+        // fingerprints come from the retired per-word hash, so neither its
+        // base nor its post-apply digests can match a graph hashed today.
+        // It must fail on the header, not as a missing base or a
+        // post-apply mismatch further in.
+        let (_dir, path) = scratch_wal("wal-v1");
+        let mut wal = Wal::create(&path).expect("create");
+        wal.append_delta(&sample_delta(1)).expect("append");
+        wal.append_marker(&sample_marker(0)).expect("marker");
+        drop(wal);
+        let mut bytes = std::fs::read(&path).expect("read");
+        assert!(Wal::replay_bytes(&bytes).is_ok());
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            Wal::replay_bytes(&bytes),
+            Err(RecoveryError::UnsupportedVersion { found: 1 })
+        ));
+        std::fs::write(&path, &bytes).expect("rewrite as version 1");
+        assert!(matches!(
+            Wal::open_append(&path),
+            Err(RecoveryError::UnsupportedVersion { found: 1 })
         ));
     }
 

@@ -513,7 +513,6 @@ fn quarantine_survives_the_swap_and_is_never_re_served() {
 fn crash_restart_resume_is_bit_exact_at_any_worker_count() {
     use gpu_sim::{CrashConfig, CrashScope};
     use hc_serve::{run_to_completion, DurabilityConfig, DurableFront};
-    use std::path::PathBuf;
 
     let dev = DeviceSpec::rtx3090();
     let g0 = Arc::new(gen::erdos_renyi(144, 640, 700));
@@ -546,26 +545,16 @@ fn crash_restart_resume_is_bit_exact_at_any_worker_count() {
         events.push(serve(g, i));
     }
 
+    // Durability files in a fresh scratch directory, removed when the
+    // returned guard drops.
     let scratch = |name: &str| {
-        let dir = std::env::temp_dir();
-        let mut wal_path = dir.clone();
-        wal_path.push(format!("hc-hammer-{}-{}.wal", std::process::id(), name));
-        let mut snapshot_path = dir;
-        snapshot_path.push(format!("hc-hammer-{}-{}.snap", std::process::id(), name));
-        let _ = std::fs::remove_file(&wal_path);
-        let _ = std::fs::remove_file(&snapshot_path);
-        DurabilityConfig {
-            wal_path,
-            snapshot_path,
+        let dir = hc_parallel::fsio::scratch(&format!("hammer-{name}")).expect("scratch dir");
+        let cfg = DurabilityConfig {
+            wal_path: dir.join("log.wal"),
+            snapshot_path: dir.join("state.snap"),
             snapshot_every: 2,
-        }
-    };
-    let cleanup = |cfg: &DurabilityConfig| {
-        let _ = std::fs::remove_file(&cfg.wal_path);
-        let _ = std::fs::remove_file(&cfg.snapshot_path);
-        let mut tmp = cfg.snapshot_path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let _ = std::fs::remove_file(PathBuf::from(tmp));
+        };
+        (dir, cfg)
     };
     let mk_front = |workers: usize, barred: bool| {
         move || {
@@ -599,10 +588,9 @@ fn crash_restart_resume_is_bit_exact_at_any_worker_count() {
     let control = mk_front(1, false)().run_events(&events, &dev);
 
     // Horizon probe through the durable wrapper.
-    let cfg = scratch("probe");
+    let (_dir, cfg) = scratch("probe");
     let probe = run_to_completion(&mk_front(1, false), &cfg, &events, &dev, CrashConfig::off())
         .expect("uncrashed durable run");
-    cleanup(&cfg);
     assert_eq!(probe.report.responses, control.responses);
     assert_eq!(probe.report.counters, control.counters);
     let horizon = probe.crash_points;
@@ -613,7 +601,7 @@ fn crash_restart_resume_is_bit_exact_at_any_worker_count() {
     for k in [0, horizon / 2, horizon - 1] {
         let mut per_worker = Vec::new();
         for workers in [1usize, 2, 8] {
-            let cfg = scratch(&format!("w{workers}k{k}"));
+            let (_dir, cfg) = scratch(&format!("w{workers}k{k}"));
             let out = run_to_completion(
                 &mk_front(workers, false),
                 &cfg,
@@ -622,7 +610,6 @@ fn crash_restart_resume_is_bit_exact_at_any_worker_count() {
                 CrashConfig::at(k),
             )
             .unwrap_or_else(|e| panic!("workers={workers} k={k}: {e}"));
-            cleanup(&cfg);
             assert_eq!(out.attempts, 2, "workers={workers} k={k}: one crash");
             for r in &out.recoveries {
                 assert_eq!(r.double_applied, 0, "workers={workers} k={k}");
@@ -645,7 +632,7 @@ fn crash_restart_resume_is_bit_exact_at_any_worker_count() {
     // crash late (the bar is long since durable in every marker), then
     // recover into a fresh *unbarred* front — the bar must come back
     // from the log, not from the factory.
-    let cfg = scratch("lineage");
+    let (_dir, cfg) = scratch("lineage");
     let mut df =
         DurableFront::create(mk_front(1, true)(), cfg.clone()).expect("create durable front");
     let scope = CrashScope::install(CrashConfig::at(horizon - 1));
@@ -656,7 +643,6 @@ fn crash_restart_resume_is_bit_exact_at_any_worker_count() {
     let (recovered, stats) =
         DurableFront::recover(mk_front(1, false)(), cfg.clone(), &events, &dev)
             .expect("recover from disk");
-    cleanup(&cfg);
     assert!(
         recovered.front().cache().is_quarantined(barred_fp),
         "quarantine lineage must survive the restart via the marker"

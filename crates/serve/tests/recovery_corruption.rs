@@ -7,25 +7,20 @@
 //! anywhere in the file, whole records duplicated, and records whose
 //! logged post-apply fingerprint disagrees with the delta.
 
-use hc_parallel::sync::{AtomicU64, Ordering};
+use hc_parallel::fsio::Scratch;
 use std::path::PathBuf;
 
 use graph_sparse::{gen, DeltaCsr, StructureFingerprint};
 use hc_serve::{CacheStats, DeltaRecord, EpochMarker, FrontCounters, Snapshot, Wal, WalRecord};
 use proptest::prelude::*;
 
-/// A temp path no other test in this process can be using: concurrent
-/// proptests draw the same `name` (e.g. the same WAL length), so the pid
-/// alone would let one test delete the file another is reading.
-fn scratch(name: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new_untracked(0);
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "hc-corrupt-{}-{seq}-{name}.bin",
-        std::process::id()
-    ));
-    p
+/// A WAL path in a fresh scratch directory, which must outlive every use
+/// of the path. Concurrent proptests draw the same `name` (e.g. the same
+/// WAL length); the scratch directory is unique per call regardless.
+fn scratch(name: &str) -> (Scratch, PathBuf) {
+    let dir = hc_parallel::fsio::scratch(&format!("corrupt-{name}")).expect("scratch dir");
+    let path = dir.join("log.wal");
+    (dir, path)
 }
 
 /// One guaranteed-absent edge of `a`, as an insert delta.
@@ -40,7 +35,7 @@ fn free_cell_delta(a: &graph_sparse::Csr) -> DeltaCsr {
 /// A healthy WAL with `n` delta records and a marker every third
 /// record, returned as raw bytes.
 fn healthy_wal(n: usize) -> Vec<u8> {
-    let path = scratch(&format!("mk{n}"));
+    let (_dir, path) = scratch(&format!("mk{n}"));
     let mut wal = Wal::create(&path).expect("create");
     for i in 0..n {
         let g = gen::erdos_renyi(48, 180, 40 + i as u64);
@@ -67,9 +62,7 @@ fn healthy_wal(n: usize) -> Vec<u8> {
         }
     }
     drop(wal);
-    let bytes = std::fs::read(&path).expect("read back");
-    let _ = std::fs::remove_file(&path);
-    bytes
+    std::fs::read(&path).expect("read back")
 }
 
 /// A healthy snapshot as raw bytes.
@@ -180,7 +173,7 @@ fn duplicated_records_replay_and_are_skipped_idempotently() {
     // about its contents) and recovery's fingerprint gating skips the
     // second apply — asserted end-to-end in restart_equivalence.rs; here
     // we pin the format level: duplicates are not a decode error.
-    let path = scratch("dup");
+    let (_dir, path) = scratch("dup");
     let g = gen::erdos_renyi(48, 180, 99);
     let base_fp = StructureFingerprint::of(&g);
     let delta = free_cell_delta(&g);
@@ -205,7 +198,6 @@ fn duplicated_records_replay_and_are_skipped_idempotently() {
     .expect("marker");
     drop(wal);
     let replay = Wal::replay(&path).expect("replays");
-    let _ = std::fs::remove_file(&path);
     let deltas: Vec<_> = replay.durable_deltas().collect();
     assert_eq!(deltas.len(), 2);
     assert_eq!(deltas[0], deltas[1]);
@@ -217,7 +209,7 @@ fn stale_fingerprint_in_record_is_detected_at_recovery() {
     // delta decodes fine (the frame checksum covers what was written)
     // but must be rejected by recovery's per-link verification. The
     // format level can't catch it; pin that the mismatch is visible.
-    let path = scratch("stalefp");
+    let (_dir, path) = scratch("stalefp");
     let g = gen::erdos_renyi(48, 180, 123);
     let base_fp = StructureFingerprint::of(&g);
     let delta = free_cell_delta(&g);
@@ -244,7 +236,6 @@ fn stale_fingerprint_in_record_is_detected_at_recovery() {
     .expect("marker");
     drop(wal);
     let replay = Wal::replay(&path).expect("replays");
-    let _ = std::fs::remove_file(&path);
     let rec = replay.durable_deltas().next().expect("one record");
     match &replay.records[0] {
         WalRecord::Delta(d) => assert_eq!(d, rec),

@@ -8,12 +8,12 @@
 //! roll back to the last fsync marker.
 
 use std::collections::HashSet;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use gpu_sim::{CrashConfig, CrashSite, DeviceSpec, FaultConfig};
 use graph_sparse::{gen, Csr, DeltaCsr, DenseMatrix};
 use hc_core::{PlanSpec, ResiliencePolicy};
+use hc_parallel::fsio::Scratch;
 use hc_serve::{
     run_to_completion, DurabilityConfig, Front, FrontConfig, FrontEvent, FrontReport, FrontRequest,
     Mutation, Request, TenantId,
@@ -21,27 +21,16 @@ use hc_serve::{
 
 const EPOCH: usize = 6;
 
-fn scratch(name: &str) -> DurabilityConfig {
-    let dir = std::env::temp_dir();
-    let mut wal_path = dir.clone();
-    wal_path.push(format!("hc-req-{}-{}.wal", std::process::id(), name));
-    let mut snapshot_path = dir;
-    snapshot_path.push(format!("hc-req-{}-{}.snap", std::process::id(), name));
-    let _ = std::fs::remove_file(&wal_path);
-    let _ = std::fs::remove_file(&snapshot_path);
-    DurabilityConfig {
-        wal_path,
-        snapshot_path,
+/// Durability files in a fresh scratch directory, removed when the
+/// returned guard drops.
+fn scratch(name: &str) -> (Scratch, DurabilityConfig) {
+    let dir = hc_parallel::fsio::scratch(&format!("req-{name}")).expect("scratch dir");
+    let cfg = DurabilityConfig {
+        wal_path: dir.join("log.wal"),
+        snapshot_path: dir.join("state.snap"),
         snapshot_every: 3,
-    }
-}
-
-fn cleanup(cfg: &DurabilityConfig) {
-    let _ = std::fs::remove_file(&cfg.wal_path);
-    let _ = std::fs::remove_file(&cfg.snapshot_path);
-    let mut tmp = cfg.snapshot_path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let _ = std::fs::remove_file(PathBuf::from(tmp));
+    };
+    (dir, cfg)
 }
 
 /// One absent edge inserted, one present edge deleted — the smallest
@@ -167,10 +156,9 @@ fn every_crash_point_recovers_to_the_uncrashed_run() {
 
     // Uncrashed probe through the durable wrapper: bit-identical to the
     // plain front, and it measures the schedule horizon.
-    let cfg = scratch("probe");
+    let (_dir, cfg) = scratch("probe");
     let probe = run_to_completion(&mk_front, &cfg, &events, &dev, CrashConfig::off())
         .expect("uncrashed durable run");
-    cleanup(&cfg);
     assert_eq!(probe.attempts, 1);
     assert!(probe.crashes.is_empty());
     assert_reports_equal(&probe.report, &control, "uncrashed durable run");
@@ -182,10 +170,9 @@ fn every_crash_point_recovers_to_the_uncrashed_run() {
 
     let mut sites_hit: HashSet<CrashSite> = HashSet::new();
     for k in 0..horizon {
-        let cfg = scratch(&format!("k{k}"));
+        let (_dir, cfg) = scratch(&format!("k{k}"));
         let out = run_to_completion(&mk_front, &cfg, &events, &dev, CrashConfig::at(k))
             .unwrap_or_else(|e| panic!("crash point {k}: recovery failed: {e}"));
-        cleanup(&cfg);
         assert_eq!(
             out.crashes.len(),
             1,
@@ -231,17 +218,15 @@ fn seeded_crash_schedules_are_deterministic() {
     let events = trace();
     for seed in [7u64, 8, 9] {
         let run = |name: &str| {
-            let cfg = scratch(name);
-            let out = run_to_completion(
+            let (_dir, cfg) = scratch(name);
+            run_to_completion(
                 &mk_front,
                 &cfg,
                 &events,
                 &dev,
                 CrashConfig::seeded(seed, 18),
             )
-            .expect("seeded run completes");
-            cleanup(&cfg);
-            out
+            .expect("seeded run completes")
         };
         let a = run(&format!("seed{seed}a"));
         let b = run(&format!("seed{seed}b"));

@@ -8,29 +8,61 @@
 //! plan, which is exactly the GNN-serving pattern (normalized adjacency
 //! values change per model, connectivity does not).
 //!
-//! The fingerprint is a 128-bit chained hash: two independent 64-bit lanes,
-//! each a SplitMix64-scrambled absorption of the structure words in a fixed
-//! serial order. Serial on purpose — the digest must be identical at any
-//! worker-thread count, so it never touches the `hc-parallel` pool (one
-//! pass over `nnz + nrows` words is far below the pool's dispatch
-//! threshold anyway).
+//! # Construction
 //!
-//! The absorption order is **row-major**: after the `(nrows, ncols)` header
-//! each row contributes its `row_ptr[r + 1]` terminator followed by its
-//! column indices. Row-major interleaving is what makes the digest
-//! *incrementally updatable*: [`FingerprintState`] persists both lane
-//! states after every row (a pair of `u64` checkpoints per row), so a
-//! structural edit whose first mutated row is `d` re-absorbs only rows
-//! `d..nrows` instead of the whole matrix. Rows before the first edit have
-//! identical `row_ptr` prefixes and column slices by construction, so the
-//! checkpoint at `d` is valid for the mutated matrix too.
+//! The fingerprint is a 128-bit hash made of two 64-bit lanes that both
+//! absorb every structure word, each with its own constants:
+//!
+//! * The `(nrows, ncols)` header seeds both lanes.
+//! * The rows are then absorbed in blocks of [`BLOCK_ROWS`] (the last block
+//!   may be partial). A block contributes two flat `u32` streams: its
+//!   `row_ptr[r0 + 1..=r1]` terminators, then its column slice
+//!   `col_idx[row_ptr[r0]..row_ptr[r1]]`. Each stream is absorbed eight
+//!   words at a time, packed into four `u64`s; a final partial step is
+//!   zero-padded. The header fixes every stream's length (the terminator
+//!   count from `nrows`, the column count from the terminators), so the
+//!   padded word sequence still determines the structure exactly.
+//! * Each step costs a lane one *folded multiply* (the full 64×64→128-bit
+//!   product with its halves XORed) that depends on the lane state, plus
+//!   one that does not. The dependent product takes the state in both
+//!   operands, so only a word equal to the (pseudorandom) state could zero
+//!   it. One dependent multiply per eight words leaves the loop bound by
+//!   multiplier throughput, not by a chain of per-word scrambles.
+//! * A SplitMix64 finalizer runs on each lane, so every digest bit —
+//!   including the low bits `fp.lo & mask` that pick a cache shard — is
+//!   avalanche-mixed.
+//!
+//! This is a non-cryptographic hash. Its collision bound is empirical (the
+//! property tests find no collision in either lane over hundreds of
+//! thousands of near-identical structures), not proven, and nothing stops
+//! an adversary who knows the constants from constructing a collision.
+//! The independent product vanishes when a packed word pair equals a lane
+//! constant; every constant has both 32-bit halves at or above 2³¹, so that
+//! takes a column index or row offset of 2³¹ or more.
+//!
+//! The hash is serial on purpose: the digest must be identical at any
+//! worker-thread count, so it never touches the `hc-parallel` pool.
+//!
+//! # Incremental updates
+//!
+//! Absorbing whole row blocks in order is what makes the digest
+//! *incrementally updatable*: [`FingerprintState`] keeps both lane states
+//! after every block (16 bytes per [`BLOCK_ROWS`] rows), so a structural
+//! edit whose first mutated row is `d` re-absorbs only the blocks from
+//! `d / BLOCK_ROWS` on. Blocks before that hold only rows before `d`,
+//! whose `row_ptr` terminators and column slices an edit starting at `d`
+//! cannot change, so their checkpoint is valid for the mutated matrix too.
 
 use crate::csr::Csr;
+
+/// Rows per absorbed block, and so per [`FingerprintState`] checkpoint.
+pub const BLOCK_ROWS: usize = 64;
 
 /// 128-bit structure digest of a CSR matrix; the plan-cache key.
 ///
 /// Equality means "same `nrows`, `ncols`, `row_ptr` and `col_idx`" up to
-/// hash collisions (~2⁻¹²⁸ per pair); values play no part.
+/// hash collisions (non-cryptographic; see the module docs); values play
+/// no part.
 ///
 /// ```
 /// use graph_sparse::{gen, StructureFingerprint};
@@ -49,7 +81,7 @@ pub struct StructureFingerprint {
 }
 
 /// SplitMix64 finalizer: a bijective scramble with full avalanche, so a
-/// single-bit difference in any absorbed word flips ~half the state bits.
+/// single-bit difference in the input flips ~half the output bits.
 fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -57,12 +89,21 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Both hash lanes as one chained state. The low lane absorbs each word
-/// raw, the high lane absorbs it pre-scrambled, so the lanes decorrelate
-/// even on adversarially structured inputs. Chaining makes the digest
-/// position-sensitive (moving a non-zero between rows changes both
-/// `row_ptr` and the absorbed sequence).
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// The folded multiply: the full 128-bit product of `a` and `b`, with its
+/// two halves XORed together.
+#[inline(always)]
+fn fold(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
+/// Number of row blocks covering `nrows` rows.
+fn block_count(nrows: usize) -> usize {
+    nrows.div_ceil(BLOCK_ROWS)
+}
+
+/// Both hash lanes, before finalization.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Lanes {
     lo: u64,
     hi: u64,
@@ -75,35 +116,74 @@ impl Lanes {
         hi: 0x1319_8a2e_0370_7344,
     };
 
-    fn absorb(&mut self, word: u64) {
-        self.lo = splitmix(self.lo ^ word);
-        self.hi = splitmix(self.hi ^ splitmix(word));
-    }
+    /// Per-lane step constants (further hex digits of π, with the top bit
+    /// of each 32-bit half set; see the module docs).
+    const K_LO: [u64; 4] = [
+        0xa409_3822_a99f_31d0,
+        0x882e_fa98_ec4e_6c89,
+        0xc528_21e6_b8d0_1377,
+        0xbe54_66cf_b4e9_0c6c,
+    ];
+    const K_HI: [u64; 4] = [
+        0xc0ac_29b7_c97c_50dd,
+        0xbf84_d5b5_b547_0917,
+        0x9216_d5d9_8979_fb1b,
+        0xd131_0ba6_98df_b5ac,
+    ];
 
-    /// Absorb the `(nrows, ncols)` header.
+    /// Seed both lanes from the `(nrows, ncols)` header.
     fn header(a: &Csr) -> Lanes {
-        let mut l = Lanes::SEED;
-        l.absorb(a.nrows as u64);
-        l.absorb(a.ncols as u64);
-        l
+        let seed = |s: u64| splitmix(splitmix(s ^ a.nrows as u64) ^ a.ncols as u64);
+        Lanes {
+            lo: seed(Lanes::SEED.lo),
+            hi: seed(Lanes::SEED.hi),
+        }
     }
 
-    /// Absorb one row: its `row_ptr` terminator, then its columns. The
-    /// terminator doubles as a length prefix (the previous terminator is
-    /// already in the chain), keeping the stream self-delimiting.
-    fn row(&mut self, a: &Csr, r: usize) {
-        self.absorb(a.row_ptr[r + 1] as u64);
-        let lo = a.row_ptr[r] as usize;
-        let hi = a.row_ptr[r + 1] as usize;
-        for &c in &a.col_idx[lo..hi] {
-            self.absorb(c as u64);
+    /// One lane's step over four packed words: a folded multiply chained
+    /// through the state, XORed with one that is independent of it.
+    #[inline(always)]
+    fn mix(s: u64, w: [u64; 4], k: &[u64; 4]) -> u64 {
+        let independent = fold(w[2] ^ k[2], w[3] ^ k[3]);
+        fold(s ^ w[0] ^ k[0], s.rotate_left(32) ^ w[1] ^ k[1]) ^ independent
+    }
+
+    /// Absorb eight words (`c.len() == 8`) into both lanes.
+    #[inline(always)]
+    fn step(&mut self, c: &[u32]) {
+        let w: [u64; 4] =
+            std::array::from_fn(|i| u64::from(c[2 * i]) | u64::from(c[2 * i + 1]) << 32);
+        self.lo = Lanes::mix(self.lo, w, &Lanes::K_LO);
+        self.hi = Lanes::mix(self.hi, w, &Lanes::K_HI);
+    }
+
+    /// Absorb a flat word stream, eight words per step; the last partial
+    /// step is zero-padded.
+    fn stream(&mut self, words: &[u32]) {
+        let mut steps = words.chunks_exact(8);
+        for c in &mut steps {
+            self.step(c);
         }
+        let rest = steps.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u32; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.step(&last);
+        }
+    }
+
+    /// Absorb row block `b`: its `row_ptr` terminators, then its columns.
+    fn block(&mut self, a: &Csr, b: usize) {
+        let r0 = b * BLOCK_ROWS;
+        let r1 = (r0 + BLOCK_ROWS).min(a.nrows);
+        self.stream(&a.row_ptr[r0 + 1..=r1]);
+        self.stream(&a.col_idx[a.row_ptr[r0] as usize..a.row_ptr[r1] as usize]);
     }
 
     fn digest(self) -> StructureFingerprint {
         StructureFingerprint {
-            lo: self.lo,
-            hi: self.hi,
+            lo: splitmix(self.lo),
+            hi: splitmix(self.hi),
         }
     }
 }
@@ -113,8 +193,8 @@ impl StructureFingerprint {
     /// pass; bit-identical at any thread count by construction.
     pub fn of(a: &Csr) -> StructureFingerprint {
         let mut lanes = Lanes::header(a);
-        for r in 0..a.nrows {
-            lanes.row(a, r);
+        for b in 0..block_count(a.nrows) {
+            lanes.block(a, b);
         }
         lanes.digest()
     }
@@ -125,15 +205,15 @@ impl StructureFingerprint {
     }
 }
 
-/// A [`StructureFingerprint`] together with the per-row lane checkpoints
+/// A [`StructureFingerprint`] together with the per-block lane checkpoints
 /// that make it incrementally recomputable.
 ///
-/// `checkpoints[r]` holds both lane states after absorbing the header and
-/// rows `0..r`; `checkpoints[nrows]` is the finished digest. When an edit
+/// `checkpoints[b]` holds both lane states after absorbing the header and
+/// row blocks `0..b`; the last one finalizes to the digest. When an edit
 /// batch's first mutated row is `d`, [`FingerprintState::update`] resumes
-/// from `checkpoints[d]` and re-absorbs only the suffix — O(nrows − d +
-/// suffix nnz) instead of O(nrows + nnz). The checkpoints cost 16 bytes
-/// per row, the price of suffix recompute.
+/// from block `d / BLOCK_ROWS` and re-absorbs only the blocks from there
+/// on — O(nrows − d + suffix nnz), up to one block, instead of
+/// O(nrows + nnz). The checkpoints cost 16 bytes per [`BLOCK_ROWS`] rows.
 ///
 /// ```
 /// use graph_sparse::{gen, FingerprintState, StructureFingerprint};
@@ -145,24 +225,32 @@ impl StructureFingerprint {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FingerprintState {
     fingerprint: StructureFingerprint,
-    /// Lane states after the header and each completed row; length
-    /// `nrows + 1`.
-    checkpoints: Vec<(u64, u64)>,
+    /// Lane states after the header and each completed block; length
+    /// `ceil(nrows / BLOCK_ROWS) + 1`.
+    checkpoints: Vec<Lanes>,
     nrows: usize,
     ncols: usize,
 }
 
 impl FingerprintState {
-    /// Digest `a` and keep the per-row checkpoints for later suffix
+    /// Digest `a` and keep the per-block checkpoints for later suffix
     /// updates. Same O(nrows + nnz) pass as [`StructureFingerprint::of`],
-    /// plus the checkpoint writes.
+    /// plus one checkpoint write per block.
     pub fn of(a: &Csr) -> FingerprintState {
-        let mut lanes = Lanes::header(a);
-        let mut checkpoints = Vec::with_capacity(a.nrows + 1);
-        checkpoints.push((lanes.lo, lanes.hi));
-        for r in 0..a.nrows {
-            lanes.row(a, r);
-            checkpoints.push((lanes.lo, lanes.hi));
+        let mut checkpoints = Vec::with_capacity(block_count(a.nrows) + 1);
+        checkpoints.push(Lanes::header(a));
+        FingerprintState::absorb_from(a, checkpoints)
+    }
+
+    /// Absorb the blocks of `a` after the last of `checkpoints`, pushing a
+    /// checkpoint after each.
+    fn absorb_from(a: &Csr, mut checkpoints: Vec<Lanes>) -> FingerprintState {
+        let mut lanes = *checkpoints
+            .last()
+            .expect("the header checkpoint is always present");
+        for b in checkpoints.len() - 1..block_count(a.nrows) {
+            lanes.block(a, b);
+            checkpoints.push(lanes);
         }
         FingerprintState {
             fingerprint: lanes.digest(),
@@ -184,15 +272,16 @@ impl FingerprintState {
 
     /// Heap bytes held by the checkpoint vector (cache accounting).
     pub fn checkpoint_bytes(&self) -> u64 {
-        (self.checkpoints.len() * std::mem::size_of::<(u64, u64)>()) as u64
+        (self.checkpoints.len() * std::mem::size_of::<Lanes>()) as u64
     }
 
     /// Recompute the digest for `updated`, which differs from the matrix
     /// this state was built over only in rows `>= first_dirty_row` (shape
-    /// preserved). Resumes both lanes from the checkpoint before the first
-    /// dirty row and re-absorbs only the suffix; rows absorbed before that
-    /// checkpoint — including every `row_ptr` prefix value — are unchanged
-    /// by such an edit, so their lane states still hold.
+    /// preserved). Resumes both lanes from the checkpoint of the block
+    /// holding the first dirty row and re-absorbs only the blocks from
+    /// there on; blocks before that checkpoint hold only rows before the
+    /// first dirty row — `row_ptr` terminators and columns alike — which
+    /// such an edit leaves unchanged, so their lane states still hold.
     ///
     /// Total on any input: if the shape changed or `first_dirty_row` is
     /// out of range, falls back to a full O(nrows + nnz) recompute.
@@ -203,20 +292,10 @@ impl FingerprintState {
         {
             return FingerprintState::of(updated);
         }
-        let (lo, hi) = self.checkpoints[first_dirty_row];
-        let mut lanes = Lanes { lo, hi };
-        let mut checkpoints = Vec::with_capacity(self.nrows + 1);
-        checkpoints.extend_from_slice(&self.checkpoints[..=first_dirty_row]);
-        for r in first_dirty_row..updated.nrows {
-            lanes.row(updated, r);
-            checkpoints.push((lanes.lo, lanes.hi));
-        }
-        FingerprintState {
-            fingerprint: lanes.digest(),
-            checkpoints,
-            nrows: updated.nrows,
-            ncols: updated.ncols,
-        }
+        let resume = first_dirty_row / BLOCK_ROWS;
+        let mut checkpoints = Vec::with_capacity(self.checkpoints.len());
+        checkpoints.extend_from_slice(&self.checkpoints[..=resume]);
+        FingerprintState::absorb_from(updated, checkpoints)
     }
 }
 
@@ -275,12 +354,14 @@ mod tests {
     }
 
     #[test]
-    fn state_matches_direct_digest_and_has_one_checkpoint_per_row() {
+    fn state_matches_direct_digest_and_has_one_checkpoint_per_block() {
         let a = gen::community(300, 2_000, 10, 0.9, 3);
         let st = FingerprintState::of(&a);
         assert_eq!(st.fingerprint(), StructureFingerprint::of(&a));
-        assert_eq!(st.checkpoints.len(), a.nrows + 1);
-        assert_eq!(st.checkpoint_bytes(), (a.nrows as u64 + 1) * 16);
+        // 300 rows: four full blocks of 64 plus a partial one, after the
+        // header checkpoint.
+        assert_eq!(st.checkpoints.len(), 6);
+        assert_eq!(st.checkpoint_bytes(), 6 * 16);
     }
 
     #[test]

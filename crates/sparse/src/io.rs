@@ -172,7 +172,6 @@ pub fn read_csr_file(path: impl AsRef<Path>) -> io::Result<Csr> {
 mod tests {
     use super::*;
     use crate::gen;
-    use hc_parallel::sync::{AtomicU64, Ordering};
 
     #[test]
     fn edge_list_roundtrip() {
@@ -230,31 +229,12 @@ mod tests {
         assert!(csr_from_bytes(&bytes).is_err());
     }
 
-    /// A temp file path unique to this process and call (pid plus a
-    /// process-wide sequence number), removed when dropped, so concurrent
-    /// test runs never share or leave behind a file.
-    struct ScratchFile(std::path::PathBuf);
-
-    impl ScratchFile {
-        fn new(name: &str) -> Self {
-            static SEQ: AtomicU64 = AtomicU64::new_untracked(0);
-            let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-            let file = format!("hc-spmm-io-{}-{seq}-{name}", std::process::id());
-            ScratchFile(std::env::temp_dir().join(file))
-        }
-    }
-
-    impl Drop for ScratchFile {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.0);
-        }
-    }
-
     #[test]
     fn file_roundtrip() {
         let g = gen::community(64, 100, 4, 0.9, 2);
-        let path = ScratchFile::new("g.csrbin");
-        write_csr_file(&g, &path.0).unwrap();
-        assert_eq!(read_csr_file(&path.0).unwrap(), g);
+        let dir = hc_parallel::fsio::scratch("spmm-io").expect("scratch dir");
+        let path = dir.join("g.csrbin");
+        write_csr_file(&g, &path).unwrap();
+        assert_eq!(read_csr_file(&path).unwrap(), g);
     }
 }

@@ -1341,11 +1341,10 @@ mod tests {
 
     #[test]
     fn serve_churn_crashes_then_recovers_from_the_wal() {
-        let wal = std::env::temp_dir().join(format!("hc-cli-churn-{}.wal", std::process::id()));
+        let dir = hc_parallel::fsio::scratch("cli-churn").expect("scratch dir");
+        let wal = dir.join("churn.wal");
         let wal_s = wal.to_string_lossy().into_owned();
         let snap = format!("{wal_s}.snap");
-        let _ = std::fs::remove_file(&wal);
-        let _ = std::fs::remove_file(&snap);
         let trace_flags = |extra: &[&str]| {
             let mut v: Vec<String> = vec![
                 "serve-churn".into(),
@@ -1388,8 +1387,6 @@ mod tests {
         );
         // Recovering with no WAL on disk is a typed failure, not a panic.
         assert_eq!(run(trace_flags(&["--recover"])), 2);
-        let _ = std::fs::remove_file(&wal);
-        let _ = std::fs::remove_file(&snap);
     }
 
     #[test]
