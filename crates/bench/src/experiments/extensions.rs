@@ -13,14 +13,39 @@ use std::sync::Arc;
 use baselines::SputnikSpmm;
 use gpu_sim::{DeviceSpec, FaultConfig};
 use graph_sparse::{DatasetId, DenseMatrix, RowWindowPartition};
-use hc_core::{HcSpmm, KernelFamily, Loa, PlanSpec, ResiliencePolicy, SpmmKernel};
-use hc_serve::{BatchDriver, BatchSummary, Outcome, Request};
+use hc_core::{FallbackStep, HcSpmm, KernelFamily, Loa, PlanSpec, ResiliencePolicy, SpmmKernel};
+use hc_serve::{Front, FrontConfig, FrontReport, FrontRequest, Outcome, Request, TenantId};
 
 use crate::harness::{f3, DatasetCache, Table};
 use crate::metrics::{
     ChurnScalePoint, DynamicGraphsMetrics, FaultRecoveryMetrics, HotPathMetrics, PlanCacheMetrics,
     RecoveryMetrics, ServingLoadMetrics, TenantSlo, TileCompressMetrics,
 };
+
+/// Serve `requests` strictly in order (one tenant, one request per epoch,
+/// no cohorts) through a fresh one-lane hybrid-plan cache of
+/// `cache_bytes` — the uncohorted serving path.
+fn serve_in_order(
+    requests: &[Request],
+    cache_bytes: u64,
+    policy: ResiliencePolicy,
+    dev: &DeviceSpec,
+) -> FrontReport {
+    let trace: Vec<FrontRequest> = requests
+        .iter()
+        .map(|request| FrontRequest {
+            tenant: TenantId(0),
+            request: request.clone(),
+        })
+        .collect();
+    Front::new(
+        cache_bytes,
+        PlanSpec::hybrid(),
+        1,
+        FrontConfig::in_order(policy),
+    )
+    .run_trace(&trace, dev)
+}
 
 /// Dynamic-graph break-even: executions per mutation at which HC-SpMM
 /// (preprocess once, run fast) overtakes Sputnik (no preprocessing). The
@@ -116,8 +141,8 @@ pub fn plan_cache_amortization(
             })
         })
         .collect();
-    let mut driver = BatchDriver::new(1 << 30, PlanSpec::hybrid());
-    let responses = driver.run(&requests, dev);
+    let report = serve_in_order(&requests, 1 << 30, ResiliencePolicy::default(), dev);
+    let responses = &report.responses;
 
     // Per-graph preparation cost, read off each graph's miss response.
     let mut prepare_ms = vec![0.0f64; ids.len()];
@@ -157,7 +182,7 @@ pub fn plan_cache_amortization(
             f3(amortized),
         ]);
     }
-    let s = driver.stats();
+    let s = report.cache;
     let m = PlanCacheMetrics {
         requests: s.requests,
         hits: s.hits,
@@ -211,15 +236,27 @@ pub fn fault_recovery(
         .collect();
 
     // Fault-free reference pass, then the same mix under the schedule.
-    let mut clean_driver = BatchDriver::new(1 << 30, PlanSpec::hybrid());
-    let clean = clean_driver.run(&requests, dev);
+    let clean = serve_in_order(&requests, 1 << 30, ResiliencePolicy::default(), dev).responses;
     let policy = ResiliencePolicy {
         faults: FaultConfig::uniform(FAULT_SEED, FAULT_RATE),
         ..Default::default()
     };
-    let mut driver = BatchDriver::with_policy(1 << 30, PlanSpec::hybrid(), policy);
-    let responses = driver.run(&requests, dev);
-    let sum = BatchSummary::of(&responses, KernelFamily::Hybrid);
+    let report = serve_in_order(&requests, 1 << 30, policy, dev);
+    let responses = &report.responses;
+    // Whole-run recovery overhead, folded in response order.
+    let (mut retries_total, mut fallbacks, mut wasted_total) = (0u64, 0u64, 0.0f64);
+    for r in responses {
+        wasted_total += r.wasted_sim_ms;
+        if let Outcome::Degraded {
+            fallback, retries, ..
+        } = &r.outcome
+        {
+            retries_total += u64::from(*retries);
+            if *fallback != FallbackStep::Family(KernelFamily::Hybrid) {
+                fallbacks += 1;
+            }
+        }
+    }
 
     // Ok means "primary family, zero retries, zero faults" — such a result
     // must match the fault-free pass bit for bit.
@@ -265,16 +302,17 @@ pub fn fault_recovery(
             f3(wasted),
         ]);
     }
+    let c = report.counters;
     let m = FaultRecoveryMetrics {
-        requests: sum.requests,
-        ok: sum.ok,
-        degraded: sum.degraded,
-        failed: sum.failed,
-        retries: sum.retries,
-        fallbacks: sum.fallbacks,
-        quarantined: driver.stats().quarantined,
-        degraded_rate: sum.degraded_rate(),
-        wasted_sim_ms: sum.wasted_sim_ms,
+        requests: c.admitted,
+        ok: c.ok,
+        degraded: c.degraded,
+        failed: c.failed,
+        retries: retries_total,
+        fallbacks,
+        quarantined: report.cache.quarantined,
+        degraded_rate: c.degraded as f64 / c.admitted as f64,
+        wasted_sim_ms: wasted_total,
     };
     let text = format!(
         "Fault recovery (extension): {} requests under a seeded fault schedule \
@@ -398,17 +436,16 @@ pub fn hot_path(cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, HotPathM
 
 /// Serving-load: a multi-tenant request mix through the cohorting
 /// [`Front`] vs. the same admitted mix through the uncohorted in-order
-/// [`BatchDriver`], both under a cache budget one byte short of the
-/// structure working set. The cyclic structure mix then thrashes the
-/// LRU — the victim is always the next structure needed — so the
-/// uncohorted control pays a full preparation per request, while the
+/// front ([`FrontConfig::in_order`]), both under a cache budget one byte
+/// short of the structure working set. The cyclic structure mix then
+/// thrashes the LRU — the victim is always the next structure needed —
+/// so the uncohorted control pays a full preparation per request, while the
 /// front pays one preparation per cohort and amortizes it across every
 /// member (the fleet-level version of Appendix F's ≈13× amortization
 /// argument). The printed body carries only deterministic counters and
 /// simulated times; host wall time goes to BENCH.json.
 pub fn serving_load(cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, ServingLoadMetrics) {
     use hc_core::Plan;
-    use hc_serve::{Front, FrontConfig, FrontRequest, TenantId};
     const EPOCHS: usize = 6;
     const EPOCH_LEN: usize = 16;
     let ids = [DatasetId::CR, DatasetId::PM, DatasetId::PT, DatasetId::AZ];
@@ -465,25 +502,20 @@ pub fn serving_load(cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, Serv
     );
     let rep = front.run_trace(&trace, dev);
 
-    // Uncohorted control: the *admitted* mix, in trace order, through the
-    // in-order BatchDriver under the identical budget.
+    // Uncohorted control: the *admitted* mix, in trace order, served in
+    // order under the identical budget.
     let admitted: Vec<&hc_serve::FrontResponse> =
         rep.responses.iter().filter(|r| !r.is_rejected()).collect();
     let control_reqs: Vec<Request> = admitted
         .iter()
         .map(|r| trace[r.trace_index].request.clone())
         .collect();
-    let mut driver = BatchDriver::new(budget, PlanSpec::hybrid());
-    let control = driver.run(&control_reqs, dev);
-    let uncohorted_sim_ms = control
-        .iter()
-        .map(|r| r.prepare_sim_ms + r.exec_sim_ms + r.wasted_sim_ms)
-        .sum::<f64>()
-        / control.len() as f64;
+    let control = serve_in_order(&control_reqs, budget, ResiliencePolicy::default(), dev);
+    let uncohorted_sim_ms = control.amortized_sim_ms();
     let bit_exact = admitted
         .iter()
-        .zip(&control)
-        .all(|(f, c)| f.z() == c.outcome.z());
+        .zip(&control.responses)
+        .all(|(f, c)| f.z() == c.z());
 
     let mut t = Table::new(&[
         "tenant",

@@ -258,8 +258,9 @@ pub struct ServingLoadMetrics {
     /// Mean simulated cost (prepare + exec + wasted) per admitted entry
     /// through the cohorting front, ms.
     pub amortized_sim_ms: f64,
-    /// The same mix through the uncohorted in-order `BatchDriver`, ms
-    /// per request — the control the front must beat.
+    /// The same mix through the uncohorted in-order front
+    /// (`FrontConfig::in_order`), ms per request — the control the front
+    /// must beat.
     pub uncohorted_sim_ms: f64,
     /// Per-tenant admission and SLO accounting, ordered by tenant id.
     pub tenants: Vec<TenantSlo>,

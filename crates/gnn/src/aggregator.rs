@@ -178,7 +178,7 @@ mod tests {
         let a = gen::community(512, 4000, 16, 0.9, 2).gcn_normalize();
         let g = DenseMatrix::random_features(a.nrows, 16, 3);
 
-        let mut cache = hc_serve::PlanCache::new(u64::MAX, PlanSpec::hybrid());
+        let cache = hc_serve::SharedPlanCache::new(u64::MAX, PlanSpec::hybrid(), 1);
         let (plan, _) = cache.get_or_prepare(&a, &dev);
         let agg = HcAggregator::from_plan(Arc::clone(&plan), true);
         assert!(

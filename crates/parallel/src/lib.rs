@@ -541,7 +541,9 @@ mod tests {
     /// or on a multi-core host).
     const BIG: u64 = u64::MAX;
 
-    /// Serializes tests that touch the process-wide thread/mode overrides.
+    /// Serializes tests that run a parallel region or touch the
+    /// process-wide thread/mode overrides: another test's `Force` mode
+    /// would fan an unlocked region out and bump the shared pool counters.
     static OVERRIDE_LOCK: Mutex<()> = Mutex::named("test-override", ());
 
     /// RAII guard: force the pool to engage so its machinery is exercised
@@ -561,6 +563,7 @@ mod tests {
 
     #[test]
     fn zero_and_one_item_workloads() {
+        let _guard = OVERRIDE_LOCK.lock();
         let empty: Vec<i32> = par_map_indexed(0, BIG, |i| i as i32);
         assert!(empty.is_empty());
         let one = par_map_indexed(1, BIG, |i| i * 10);
@@ -646,6 +649,7 @@ mod tests {
 
     #[test]
     fn small_work_runs_inline() {
+        let _guard = OVERRIDE_LOCK.lock();
         // Below MIN_PARALLEL_WORK the region must still produce the same
         // result (and not deadlock when nested inside another region).
         let got = par_map_indexed(8, 10, |i| {

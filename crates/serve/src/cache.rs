@@ -1,4 +1,6 @@
-//! Byte-budgeted LRU cache of prepared execution plans.
+//! Byte-budgeted LRU cache of prepared execution plans: one lane of
+//! [`SharedPlanCache`](crate::SharedPlanCache), which owns the locking
+//! and the quarantine registry.
 //!
 //! Keys are structure fingerprints, so any two graphs with identical CSR
 //! structure — regardless of values — share one plan. The budget charges
@@ -9,12 +11,11 @@
 //! of "caching disabled": every request misses, every result stays
 //! correct.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use gpu_sim::DeviceSpec;
-use graph_sparse::{Csr, StructureFingerprint};
-use hc_core::{Plan, PlanSpec, WorkspaceStats};
+use graph_sparse::StructureFingerprint;
+use hc_core::{Plan, WorkspaceStats};
 
 /// Cache traffic counters. `requests == hits + misses` always holds;
 /// `rejected` counts the subset of misses whose plan was too large to
@@ -31,8 +32,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Prepared plans too large for the budget (returned, not retained).
     pub rejected: u64,
-    /// Structures quarantined after producing a fault (see
-    /// [`PlanCache::quarantine`]).
+    /// Structures quarantined after producing a fault (first
+    /// registrations only; see
+    /// [`SharedPlanCache::quarantine`](crate::SharedPlanCache::quarantine)).
     pub quarantined: u64,
     /// Misses forced by quarantine: the structure was (or would have been)
     /// cached, but its plans are barred from residency.
@@ -66,62 +68,34 @@ struct Entry {
     stale: bool,
 }
 
-/// Structure-keyed LRU plan cache. One cache serves one [`PlanSpec`] —
-/// fixing the spec at construction keeps every cached plan executable
-/// interchangeably (a fingerprint hit could otherwise return a plan
-/// prepared for a different kernel family).
-pub struct PlanCache {
+/// Structure-keyed LRU plan cache: one shard of the
+/// [`SharedPlanCache`](crate::SharedPlanCache), which fixes the plan spec
+/// for every lane and keeps the one quarantine set.
+pub(crate) struct PlanCache {
     budget: u64,
-    spec: PlanSpec,
     entries: HashMap<StructureFingerprint, Entry>,
-    quarantined: HashSet<StructureFingerprint>,
     bytes: u64,
     clock: u64,
     stats: CacheStats,
 }
 
 impl PlanCache {
-    /// Cache with a byte budget for plans of `spec`.
-    pub fn new(budget_bytes: u64, spec: PlanSpec) -> PlanCache {
+    /// Empty shard with a byte budget.
+    pub fn new(budget_bytes: u64) -> PlanCache {
         PlanCache {
             budget: budget_bytes,
-            spec,
             entries: HashMap::new(),
-            quarantined: HashSet::new(),
             bytes: 0,
             clock: 0,
             stats: CacheStats::default(),
         }
     }
 
-    /// Look up the plan for `a`'s structure, preparing (and, budget
-    /// permitting, retaining) it on a miss. Returns the plan and whether
-    /// it was a hit. Deterministic: the same request sequence produces the
-    /// same hits, evictions and counters at any thread count.
-    pub fn get_or_prepare(&mut self, a: &Csr, dev: &DeviceSpec) -> (Arc<Plan>, bool) {
-        let fp = StructureFingerprint::of(a);
-        if let Some((plan, _stale)) = self.touch(fp) {
-            return (plan, true);
-        }
-        let plan = Arc::new(Plan::prepare(a, self.spec, dev));
-        if self.quarantined.contains(&fp) {
-            // Quarantined structures are served by fresh ad-hoc plans but
-            // never regain residency: a poisoned plan is gone for good,
-            // and nothing under its fingerprint is ever re-served.
-            self.note_quarantine_miss();
-            return (plan, false);
-        }
-        (self.admit(fp, plan), false)
-    }
-
     /// Record a lookup: on a hit, refresh the LRU stamp and return the
     /// resident plan plus its staleness flag; on a miss, count it and
-    /// return `None` — the caller prepares the plan (outside any lock, in
-    /// the sharded cache) and offers it back via
-    /// [`admit`](PlanCache::admit). Split out of
-    /// [`get_or_prepare`](PlanCache::get_or_prepare) so
-    /// [`SharedPlanCache`](crate::SharedPlanCache) never holds a shard
-    /// lock across `Plan::prepare`.
+    /// return `None` — the caller prepares the plan outside the shard
+    /// lock and offers it back via [`admit`](PlanCache::admit), so no
+    /// lock is ever held across `Plan::prepare`.
     pub fn touch(&mut self, fp: StructureFingerprint) -> Option<(Arc<Plan>, bool)> {
         self.stats.requests += 1;
         self.clock += 1;
@@ -157,9 +131,9 @@ impl PlanCache {
         }
     }
 
-    /// Remove the entry for `fp` (the swap path retires the superseded
-    /// plan this way; not counted as an eviction). Returns whether a plan
-    /// was resident.
+    /// Remove the entry for `fp` (the swap and quarantine paths retire
+    /// plans this way; not counted as an eviction). Returns whether a
+    /// plan was resident.
     pub fn remove(&mut self, fp: StructureFingerprint) -> bool {
         if let Some(e) = self.entries.remove(&fp) {
             self.bytes -= e.bytes;
@@ -179,6 +153,12 @@ impl PlanCache {
     /// [`touch`](PlanCache::touch) miss).
     pub fn note_quarantine_miss(&mut self) {
         self.stats.quarantine_misses += 1;
+    }
+
+    /// Count a structure's first quarantine registration (the structure's
+    /// shard owns the counter).
+    pub fn note_quarantined(&mut self) {
+        self.stats.quarantined += 1;
     }
 
     /// Offer a freshly prepared plan for residency after a
@@ -233,29 +213,6 @@ impl PlanCache {
         self.stats.evictions += 1;
     }
 
-    /// Quarantine a structure after its plan produced a fault: evict the
-    /// resident plan (if any) and permanently bar the fingerprint from
-    /// residency. Subsequent requests for the structure are served by
-    /// fresh ad-hoc plans that are never retained, so a poisoned plan can
-    /// never be re-served. Returns true if a plan was resident.
-    pub fn quarantine(&mut self, fp: StructureFingerprint) -> bool {
-        let evicted = if let Some(e) = self.entries.remove(&fp) {
-            self.bytes -= e.bytes;
-            true
-        } else {
-            false
-        };
-        if self.quarantined.insert(fp) {
-            self.stats.quarantined += 1;
-        }
-        evicted
-    }
-
-    /// Whether this structure is barred from residency.
-    pub fn is_quarantined(&self, fp: StructureFingerprint) -> bool {
-        self.quarantined.contains(&fp)
-    }
-
     /// Traffic counters so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -266,11 +223,6 @@ impl PlanCache {
         self.entries.len()
     }
 
-    /// True when no plans are resident.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Bytes currently charged against the budget.
     pub fn bytes_used(&self) -> u64 {
         self.bytes
@@ -279,16 +231,6 @@ impl PlanCache {
     /// The configured byte budget.
     pub fn budget(&self) -> u64 {
         self.budget
-    }
-
-    /// The spec every cached plan was prepared with.
-    pub fn spec(&self) -> PlanSpec {
-        self.spec
-    }
-
-    /// Whether a plan for this structure is resident (no LRU touch).
-    pub fn contains(&self, fp: StructureFingerprint) -> bool {
-        self.entries.contains_key(&fp)
     }
 
     /// Resident fingerprints in LRU order, oldest first. `last_used`
@@ -314,9 +256,10 @@ impl PlanCache {
     /// nothing is evicted**: restoring state is not traffic, and a
     /// restored set was resident together before the crash so it fits by
     /// construction (an oversized plan is dropped, as `admit` would).
+    /// The caller has already checked the quarantine registry.
     pub fn restore_resident(&mut self, plan: Arc<Plan>) {
         let fp = plan.fingerprint;
-        if self.entries.contains_key(&fp) || self.quarantined.contains(&fp) {
+        if self.entries.contains_key(&fp) {
             return;
         }
         let bytes = plan.approx_bytes();
@@ -334,14 +277,6 @@ impl PlanCache {
                 stale: false,
             },
         );
-    }
-
-    /// Restore a quarantine registration during recovery, without
-    /// counting it in `quarantined` (the persisted statistics already
-    /// include it; they are re-seeded wholesale via
-    /// [`seed_stats`](PlanCache::seed_stats)).
-    pub fn restore_quarantined(&mut self, fp: StructureFingerprint) {
-        self.quarantined.insert(fp);
     }
 
     /// Seed the cumulative statistics from persisted state. Recovery
@@ -367,7 +302,9 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graph_sparse::{gen, DenseMatrix};
+    use gpu_sim::DeviceSpec;
+    use graph_sparse::{gen, Csr, DenseMatrix};
+    use hc_core::PlanSpec;
 
     fn graphs() -> Vec<Csr> {
         vec![
@@ -377,15 +314,32 @@ mod tests {
         ]
     }
 
+    /// One lookup the way the sharded cache issues it: touch, and on a
+    /// miss prepare and offer the plan back.
+    fn serve(cache: &mut PlanCache, a: &Csr, dev: &DeviceSpec) -> (Arc<Plan>, bool) {
+        let fp = StructureFingerprint::of(a);
+        match cache.touch(fp) {
+            Some((plan, _stale)) => (plan, true),
+            None => {
+                let plan = Arc::new(Plan::prepare(a, PlanSpec::hybrid(), dev));
+                (cache.admit(fp, plan), false)
+            }
+        }
+    }
+
+    fn resident(cache: &PlanCache, fp: StructureFingerprint) -> bool {
+        cache.peek(fp).is_some()
+    }
+
     #[test]
     fn zero_budget_disables_caching_but_stays_correct() {
         let dev = DeviceSpec::rtx3090();
-        let mut cache = PlanCache::new(0, PlanSpec::hybrid());
+        let mut cache = PlanCache::new(0);
         let a = &graphs()[0];
         let x = DenseMatrix::random_features(a.nrows, 16, 9);
         let mut outputs = Vec::new();
         for _ in 0..3 {
-            let (plan, hit) = cache.get_or_prepare(a, &dev);
+            let (plan, hit) = serve(&mut cache, a, &dev);
             assert!(!hit);
             outputs.push(plan.execute(a, &x, &dev).z);
         }
@@ -404,16 +358,16 @@ mod tests {
         let a = &graphs()[0];
         // Find the plan's real size, then set the budget just below it.
         let bytes = Plan::prepare(a, PlanSpec::hybrid(), &dev).approx_bytes();
-        let mut cache = PlanCache::new(bytes - 1, PlanSpec::hybrid());
-        let (plan, hit) = cache.get_or_prepare(a, &dev);
+        let mut cache = PlanCache::new(bytes - 1);
+        let (plan, hit) = serve(&mut cache, a, &dev);
         assert!(!hit);
         assert_eq!(plan.approx_bytes(), bytes);
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().rejected, 1);
         assert_eq!(cache.stats().evictions, 0);
         // At exactly the budget it fits.
-        let mut cache = PlanCache::new(bytes, PlanSpec::hybrid());
-        cache.get_or_prepare(a, &dev);
+        let mut cache = PlanCache::new(bytes);
+        serve(&mut cache, a, &dev);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes_used(), bytes);
     }
@@ -428,22 +382,22 @@ mod tests {
             .map(|g| Plan::prepare(g, PlanSpec::hybrid(), &dev).approx_bytes())
             .collect();
         // Budget holds exactly two of the three plans.
-        let budget = bytes[0] + bytes[1].max(bytes[2]);
-        let mut cache = PlanCache::new(budget, PlanSpec::hybrid());
+        let mut cache = PlanCache::new(bytes[0] + bytes[1].max(bytes[2]));
 
-        cache.get_or_prepare(&gs[0], &dev); // [0]
-        cache.get_or_prepare(&gs[1], &dev); // [0, 1]
-        cache.get_or_prepare(&gs[0], &dev); // touch 0 → 1 is now LRU
-        cache.get_or_prepare(&gs[2], &dev); // evicts 1, not 0
-        assert!(cache.contains(fps[0]));
-        assert!(!cache.contains(fps[1]));
-        assert!(cache.contains(fps[2]));
+        serve(&mut cache, &gs[0], &dev); // [0]
+        serve(&mut cache, &gs[1], &dev); // [0, 1]
+        serve(&mut cache, &gs[0], &dev); // touch 0 → 1 is now LRU
+        serve(&mut cache, &gs[2], &dev); // evicts 1, not 0
+        assert!(resident(&cache, fps[0]));
+        assert!(!resident(&cache, fps[1]));
+        assert!(resident(&cache, fps[2]));
         assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.resident_lru(), vec![fps[0], fps[2]]);
 
         // Re-inserting 1 now evicts 0 (LRU after the touch order above).
-        cache.get_or_prepare(&gs[1], &dev);
-        assert!(!cache.contains(fps[0]));
-        assert!(cache.contains(fps[1]));
+        serve(&mut cache, &gs[1], &dev);
+        assert!(!resident(&cache, fps[0]));
+        assert!(resident(&cache, fps[1]));
         assert_eq!(cache.stats().evictions, 2);
     }
 
@@ -451,10 +405,10 @@ mod tests {
     fn counters_account_for_every_request() {
         let dev = DeviceSpec::rtx3090();
         let gs = graphs();
-        let mut cache = PlanCache::new(u64::MAX, PlanSpec::hybrid());
+        let mut cache = PlanCache::new(u64::MAX);
         for round in 0..4 {
             for g in &gs {
-                let (_, hit) = cache.get_or_prepare(g, &dev);
+                let (_, hit) = serve(&mut cache, g, &dev);
                 assert_eq!(hit, round > 0);
             }
         }
@@ -469,49 +423,14 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_structure_is_never_re_served_from_cache() {
-        let dev = DeviceSpec::rtx3090();
-        let gs = graphs();
-        let fp = StructureFingerprint::of(&gs[0]);
-        let mut cache = PlanCache::new(u64::MAX, PlanSpec::hybrid());
-        let (poisoned, _) = cache.get_or_prepare(&gs[0], &dev);
-        assert!(cache.contains(fp));
-
-        assert!(cache.quarantine(fp), "resident plan must be evicted");
-        assert!(!cache.contains(fp));
-        assert!(cache.is_quarantined(fp));
-        assert_eq!(cache.stats().quarantined, 1);
-        // Idempotent: re-quarantining doesn't double-count.
-        assert!(!cache.quarantine(fp));
-        assert_eq!(cache.stats().quarantined, 1);
-
-        // The structure still gets served — by fresh plans, never the
-        // poisoned Arc, never retained.
-        for _ in 0..3 {
-            let (plan, hit) = cache.get_or_prepare(&gs[0], &dev);
-            assert!(!hit);
-            assert!(!Arc::ptr_eq(&plan, &poisoned));
-            assert!(!cache.contains(fp));
-        }
-        assert_eq!(cache.stats().quarantine_misses, 3);
-        assert_eq!(cache.bytes_used(), 0);
-
-        // Other structures are unaffected.
-        let (_, hit) = cache.get_or_prepare(&gs[1], &dev);
-        assert!(!hit);
-        let (_, hit) = cache.get_or_prepare(&gs[1], &dev);
-        assert!(hit);
-    }
-
-    #[test]
     fn stale_flag_sticks_until_removal_and_counts_hits() {
         let dev = DeviceSpec::rtx3090();
         let a = &graphs()[0];
         let fp = StructureFingerprint::of(a);
-        let mut cache = PlanCache::new(u64::MAX, PlanSpec::hybrid());
+        let mut cache = PlanCache::new(u64::MAX);
         assert!(!cache.mark_stale(fp), "nothing resident yet");
-        let (plan, _) = cache.get_or_prepare(a, &dev);
-        assert!(cache.peek(fp).is_some());
+        let (plan, _) = serve(&mut cache, a, &dev);
+        assert!(resident(&cache, fp));
         assert!(cache.mark_stale(fp));
         // Stale plans keep serving, flagged and counted.
         let (p, stale) = cache.touch(fp).expect("resident");
@@ -519,7 +438,7 @@ mod tests {
         assert!(Arc::ptr_eq(&p, &plan));
         assert_eq!(cache.stats().stale_hits, 1);
         // peek does not count anything.
-        assert!(cache.peek(fp).is_some());
+        assert!(resident(&cache, fp));
         let s = cache.stats();
         assert_eq!((s.requests, s.hits), (2, 1));
         // Removal retires the entry without an eviction tick.
@@ -537,9 +456,9 @@ mod tests {
         for v in &mut b.vals {
             *v *= 7.0;
         }
-        let mut cache = PlanCache::new(u64::MAX, PlanSpec::hybrid());
-        let (pa, hit_a) = cache.get_or_prepare(&a, &dev);
-        let (pb, hit_b) = cache.get_or_prepare(&b, &dev);
+        let mut cache = PlanCache::new(u64::MAX);
+        let (pa, hit_a) = serve(&mut cache, &a, &dev);
+        let (pb, hit_b) = serve(&mut cache, &b, &dev);
         assert!(!hit_a);
         assert!(hit_b, "same structure must hit regardless of values");
         assert!(Arc::ptr_eq(&pa, &pb));

@@ -27,11 +27,12 @@
 //! 2. **Cohort formation** — admitted requests grouped by structure
 //!    fingerprint in first-arrival order, chunked at
 //!    [`FrontConfig::max_cohort`]; cohort ids are global and sequential.
-//! 3. **Plan resolution** — one `get_or_prepare` per cohort, issued
+//! 3. **Plan resolution** — one cache `lookup` per cohort, issued
 //!    sequentially on the scheduler thread so cache counters and LRU
 //!    order are identical at any worker count.
 //! 4. **Execution** — cohorts stream through a bounded channel to
-//!    `workers` threads; each cohort runs on one worker, members in
+//!    `workers` threads (a single worker runs them on the scheduler
+//!    thread, with no channel); each cohort runs on one worker, members in
 //!    arrival order through the shared plan, every member under its own
 //!    trace-indexed fault stream. A fault mid-cohort degrades only the
 //!    implicated member; poisoned plans are quarantined after the epoch
@@ -56,8 +57,17 @@
 //! queueing is *not* modeled as latency; queue pressure is modeled as
 //! admission rejection instead, which keeps the metric independent of
 //! the worker count. Preparation cost is *charged* once per cohort (to
-//! its first member) for amortized-cost accounting, mirroring
-//! [`BatchDriver`]'s miss accounting.
+//! its first member) for amortized-cost accounting: a hit charges
+//! nothing, a miss charges the full preparation once.
+//!
+//! ## The in-order preset
+//!
+//! [`FrontConfig::in_order`] degenerates the front into strictly
+//! sequential serving: one arrival per epoch, one worker, singleton
+//! cohorts and no shedding. Each request then resolves its own plan and
+//! any plan it poisons is quarantined at its own epoch barrier, before
+//! the next request is admitted — the uncohorted control the cohorting
+//! configurations are measured against.
 //!
 //! ## Lock order
 //!
@@ -75,13 +85,141 @@ use std::time::Instant;
 
 use gpu_sim::DeviceSpec;
 use graph_sparse::{Csr, DeltaCsr, DenseMatrix, StructureFingerprint};
-use hc_core::{HcError, OverloadReason, PlanSpec, ResiliencePolicy};
+use hc_core::{
+    execute_resilient, FallbackStep, HcError, KernelFamily, OverloadReason, Plan, PlanSpec,
+    ResiliencePolicy,
+};
 use hc_parallel::sync::channel::Bounded;
 use hc_parallel::sync::{thread, Mutex};
 
 use crate::cache::CacheStats;
-use crate::driver::{execute_planned, screen_request, Outcome, Request};
 use crate::shared::{SharedPlanCache, SwapOutcome};
+
+/// One serving request: a graph and the dense feature matrix to multiply.
+#[derive(Clone)]
+pub struct Request {
+    /// Adjacency (or propagation) matrix. `Arc` so request mixes can
+    /// repeat a graph without cloning its arrays.
+    pub graph: Arc<Csr>,
+    /// Dense right-hand side (`graph.ncols` rows).
+    pub features: DenseMatrix,
+}
+
+/// How one request ended: the serving layer's graceful-degradation
+/// contract. `Ok` and `Degraded` both carry a result that is bit-identical
+/// to a fault-free execution of the family that produced it; `Failed`
+/// carries a typed error. Nothing panics.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outcome {
+    /// Served by the primary kernel family, first try.
+    Ok(DenseMatrix),
+    /// Served, but not cleanly: retries were needed and/or a fallback
+    /// step produced the result.
+    Degraded {
+        /// The SpMM result (from the `fallback` step).
+        z: DenseMatrix,
+        /// The chain step that produced the surviving result.
+        fallback: FallbackStep,
+        /// Attempts beyond the first, across all steps.
+        retries: u32,
+    },
+    /// The request could not be served.
+    Failed(HcError),
+}
+
+impl Outcome {
+    /// The result matrix, when one was produced.
+    pub fn z(&self) -> Option<&DenseMatrix> {
+        match self {
+            Outcome::Ok(z) | Outcome::Degraded { z, .. } => Some(z),
+            Outcome::Failed(_) => None,
+        }
+    }
+
+    /// True for [`Outcome::Degraded`].
+    pub fn is_degraded(&self) -> bool {
+        matches!(self, Outcome::Degraded { .. })
+    }
+
+    /// True for [`Outcome::Failed`].
+    pub fn is_failed(&self) -> bool {
+        matches!(self, Outcome::Failed(_))
+    }
+
+    /// The error, for [`Outcome::Failed`].
+    pub fn error(&self) -> Option<&HcError> {
+        match self {
+            Outcome::Failed(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+/// Screen a request before it can reach plan preparation (which indexes
+/// the graph's arrays and would panic on a malformed one).
+fn screen_request(req: &Request) -> Result<(), HcError> {
+    req.graph.validate()?;
+    if req.features.rows != req.graph.ncols {
+        return Err(HcError::ShapeMismatch {
+            expected_rows: req.graph.ncols,
+            got_rows: req.features.rows,
+        });
+    }
+    Ok(())
+}
+
+/// What [`execute_planned`] observed: the outcome plus the simulated-time
+/// and poisoning facts the caller needs to finish its accounting.
+struct Executed {
+    outcome: Outcome,
+    /// Simulated ms of the surviving execution (0 on failure / CPU ref).
+    exec_sim_ms: f64,
+    /// Simulated ms of discarded (faulted or invalid) attempts.
+    wasted_sim_ms: f64,
+    /// Whether the plan was implicated in a fault and must be
+    /// quarantined by the caller.
+    poisoned: bool,
+}
+
+/// The post-lookup half of serving: run one request through an
+/// already-resolved plan under `policy` (whose fault schedule the caller
+/// has re-seeded) and classify the result against `primary`. Pure with
+/// respect to the cache — quarantine is the caller's job, via
+/// [`Executed::poisoned`].
+fn execute_planned(
+    plan: &Plan,
+    graph: &Csr,
+    features: &DenseMatrix,
+    dev: &DeviceSpec,
+    policy: &ResiliencePolicy,
+    primary: KernelFamily,
+) -> Executed {
+    let run = execute_resilient(plan, graph, features, dev, policy);
+    let (outcome, exec_sim_ms) = match run.result {
+        Ok(r) => {
+            let exec = r.run.time_ms;
+            if run.retries > 0 || run.executed != FallbackStep::Family(primary) {
+                (
+                    Outcome::Degraded {
+                        z: r.z,
+                        fallback: run.executed,
+                        retries: run.retries,
+                    },
+                    exec,
+                )
+            } else {
+                (Outcome::Ok(r.z), exec)
+            }
+        }
+        Err(e) => (Outcome::Failed(e), 0.0),
+    };
+    Executed {
+        outcome,
+        exec_sim_ms,
+        wasted_sim_ms: run.wasted_sim_ms,
+        poisoned: run.poisoned,
+    }
+}
 
 /// Opaque tenant identifier. Quotas and SLO accounting key on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -165,8 +303,26 @@ pub struct FrontConfig {
     /// Per-request SLO threshold on simulated latency, in ms.
     pub slo_sim_ms: f64,
     /// Retry/fallback/validation policy; its fault schedule is re-seeded
-    /// per trace index, exactly like [`BatchDriver`].
+    /// per trace index, so one request's launch count cannot shift
+    /// another's fault draws.
     pub policy: ResiliencePolicy,
+}
+
+impl FrontConfig {
+    /// Strictly in-order serving under `policy`: one arrival per epoch,
+    /// one worker, singleton cohorts, and a queue and quota of one that
+    /// a one-arrival epoch can never exceed. See the module docs.
+    pub fn in_order(policy: ResiliencePolicy) -> FrontConfig {
+        FrontConfig {
+            workers: 1,
+            queue_depth: 1,
+            tenant_quota: 1,
+            arrivals_per_epoch: 1,
+            max_cohort: 1,
+            policy,
+            ..FrontConfig::default()
+        }
+    }
 }
 
 impl Default for FrontConfig {
@@ -371,7 +527,7 @@ struct CohortJob<'t> {
     id: u64,
     hit: bool,
     stale: bool,
-    plan: Arc<hc_core::Plan>,
+    plan: Arc<Plan>,
     fp: StructureFingerprint,
     /// Full preparation cost when this cohort missed, else 0.
     prepare_ms: f64,
@@ -681,9 +837,47 @@ impl Front {
                 }
             }
 
-            // --- Execution: cohorts stream through a bounded channel to
-            // the workers; the epoch barrier is the scope join.
+            // --- Execution: members in arrival order through the cohort's
+            // plan, each under its own trace-indexed fault stream. Members
+            // wait for the plan and for the members ahead of them on the
+            // shared workspace (module docs).
             let primary = self.cache.spec().family;
+            let execute = |job: CohortJob<'_>| {
+                let mut outs = Vec::with_capacity(job.members.len());
+                let mut poisoned = false;
+                let mut queued = job.prepare_ms;
+                for (k, &(ti, fr)) in job.members.iter().enumerate() {
+                    let mut policy = cfg.policy;
+                    policy.faults = cfg.policy.faults.stream(ti as u64);
+                    let ex = execute_planned(
+                        &job.plan,
+                        &fr.request.graph,
+                        &fr.request.features,
+                        dev,
+                        &policy,
+                        primary,
+                    );
+                    poisoned |= ex.poisoned;
+                    queued += ex.exec_sim_ms + ex.wasted_sim_ms;
+                    outs.push(MemberOut {
+                        trace_index: ti,
+                        outcome: ex.outcome,
+                        exec_sim_ms: ex.exec_sim_ms,
+                        prepare_sim_ms: if k == 0 { job.prepare_ms } else { 0.0 },
+                        wasted_sim_ms: ex.wasted_sim_ms,
+                        latency_sim_ms: queued,
+                    });
+                }
+                CohortDone {
+                    id: job.id,
+                    hit: job.hit,
+                    stale: job.stale,
+                    fp: job.fp,
+                    size: job.members.len(),
+                    poisoned,
+                    outs,
+                }
+            };
             let n_workers = if cfg.workers == 0 {
                 thread::available_parallelism()
             } else {
@@ -691,53 +885,23 @@ impl Front {
             }
             .min(jobs.len())
             .max(1);
-            let done: Mutex<Vec<CohortDone>> = Mutex::named("front-results", Vec::new());
-            if !jobs.is_empty() {
+            // One worker runs the cohorts on the scheduler thread; more
+            // take them from a bounded channel, and the epoch barrier is
+            // the scope join.
+            let finished: Vec<CohortDone> = if n_workers == 1 {
+                jobs.into_iter().map(execute).collect()
+            } else {
+                let done: Mutex<Vec<CohortDone>> = Mutex::named("front-results", Vec::new());
                 let chan: Bounded<CohortJob<'_>> = Bounded::new(n_workers, "front-queue");
                 thread::scope(|s| {
-                    let (chan, done, dev) = (&chan, &done, &dev);
+                    let (chan, done, execute) = (&chan, &done, &execute);
                     for _ in 0..n_workers {
                         s.spawn(move |_| {
                             while let Some(job) = chan.recv() {
-                                let mut outs = Vec::with_capacity(job.members.len());
-                                let mut poisoned = false;
-                                // Members wait for the plan and for the
-                                // members ahead of them on the shared
-                                // workspace (module docs).
-                                let mut queued = job.prepare_ms;
-                                for (k, &(ti, fr)) in job.members.iter().enumerate() {
-                                    let mut policy = cfg.policy;
-                                    policy.faults = cfg.policy.faults.stream(ti as u64);
-                                    let ex = execute_planned(
-                                        &job.plan,
-                                        &fr.request.graph,
-                                        &fr.request.features,
-                                        dev,
-                                        &policy,
-                                        primary,
-                                    );
-                                    poisoned |= ex.poisoned;
-                                    queued += ex.exec_sim_ms + ex.wasted_sim_ms;
-                                    outs.push(MemberOut {
-                                        trace_index: ti,
-                                        outcome: ex.outcome,
-                                        exec_sim_ms: ex.exec_sim_ms,
-                                        prepare_sim_ms: if k == 0 { job.prepare_ms } else { 0.0 },
-                                        wasted_sim_ms: ex.wasted_sim_ms,
-                                        latency_sim_ms: queued,
-                                    });
-                                }
+                                let c = execute(job);
                                 // Results lock is taken only after device
                                 // execution returned (hazard discipline).
-                                done.lock().push(CohortDone {
-                                    id: job.id,
-                                    hit: job.hit,
-                                    stale: job.stale,
-                                    fp: job.fp,
-                                    size: job.members.len(),
-                                    poisoned,
-                                    outs,
-                                });
+                                done.lock().push(c);
                             }
                         });
                     }
@@ -751,12 +915,13 @@ impl Front {
                     chan.close();
                 })
                 .expect("front workers must not panic");
-            }
+                let mut finished = done.into_inner();
+                finished.sort_by_key(|c| c.id);
+                finished
+            };
 
             // --- Collection: cohort order, scheduler thread. Quarantine
             // poisoned plans here so registry counters are deterministic.
-            let mut finished = done.into_inner();
-            finished.sort_by_key(|c| c.id);
             for c in finished {
                 if c.poisoned {
                     counters.quarantined_cohorts += 1;
@@ -963,8 +1128,7 @@ pub(crate) fn assemble_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graph_sparse::{gen, Csr};
-    use std::sync::Arc;
+    use graph_sparse::gen;
 
     fn trace_of(mix: &[(u32, &Arc<Csr>)], dim: usize) -> Vec<FrontRequest> {
         mix.iter()
@@ -1283,6 +1447,223 @@ mod tests {
         for (got, want) in g1_responses.iter().zip(&control_rep.responses) {
             assert_eq!(got.z(), want.z(), "patched plan must serve bit-identically");
         }
+    }
+
+    /// An in-order front over a one-shard cache: the uncohorted control.
+    fn in_order(budget: u64, policy: ResiliencePolicy) -> Front {
+        Front::new(budget, PlanSpec::hybrid(), 1, FrontConfig::in_order(policy))
+    }
+
+    #[test]
+    fn in_order_serves_with_expected_hits() {
+        let dev = DeviceSpec::rtx3090();
+        let gs: Vec<Arc<Csr>> = (0..2)
+            .map(|s| Arc::new(gen::erdos_renyi(128, 600, s)))
+            .collect();
+        // a, b, a, a, b: first sight of each graph misses, the rest hit.
+        let trace = trace_of(
+            &[
+                (0, &gs[0]),
+                (0, &gs[1]),
+                (0, &gs[0]),
+                (0, &gs[0]),
+                (0, &gs[1]),
+            ],
+            8,
+        );
+        let rep = in_order(u64::MAX, ResiliencePolicy::default()).run_trace(&trace, &dev);
+        let hits: Vec<bool> = rep.responses.iter().map(|r| r.hit).collect();
+        assert_eq!(hits, [false, false, true, true, true]);
+        for (fr, resp) in trace.iter().zip(&rep.responses) {
+            let req = &fr.request;
+            let z = resp.z().expect("faults are off: every request serves");
+            assert!(matches!(resp.outcome, Outcome::Ok(_)));
+            assert!(req.graph.spmm_reference(&req.features).max_abs_diff(z) < 0.05);
+            if resp.hit {
+                assert_eq!(resp.prepare_sim_ms, 0.0);
+            } else {
+                assert!(resp.prepare_sim_ms > 0.0);
+            }
+            assert!(resp.exec_sim_ms > 0.0);
+            assert_eq!(resp.wasted_sim_ms, 0.0);
+        }
+        let s = rep.cache;
+        assert_eq!((s.requests, s.hits, s.misses), (5, 3, 2));
+        let c = rep.counters;
+        assert_eq!((c.ok, c.degraded, c.failed), (5, 0, 0));
+    }
+
+    #[test]
+    fn in_order_warm_plans_are_bit_identical_to_cold_across_eviction() {
+        // The same request stream served (a) through a warm cached plan
+        // (workspace amortizing every request) and (b) through a
+        // zero-budget cache (every request re-prepares a cold plan, so
+        // nothing is ever reused) must produce identical responses.
+        let dev = DeviceSpec::rtx3090();
+        let g = Arc::new(gen::community(256, 1_500, 8, 0.9, 1));
+        let trace = trace_of(&[(0, &g); 6], 16);
+        let warm = in_order(u64::MAX, ResiliencePolicy::default());
+        let cold = in_order(0, ResiliencePolicy::default());
+        let rw = warm.run_trace(&trace, &dev);
+        let rc = cold.run_trace(&trace, &dev);
+        for (i, (w, c)) in rw.responses.iter().zip(&rc.responses).enumerate() {
+            assert_eq!(
+                w.z().expect("serves"),
+                c.z().expect("serves"),
+                "request {i}: warm plan != per-request cold plan"
+            );
+            assert_eq!(w.exec_sim_ms.to_bits(), c.exec_sim_ms.to_bits());
+        }
+        // The warm front really did amortize: one resident plan, reused
+        // scratchwork after the first request.
+        let ws = warm.cache().workspace_stats();
+        assert_eq!(ws.cost_builds, 1);
+        assert_eq!(ws.cost_reuses, 5);
+        // The cold front retained nothing, so it reports no counters.
+        assert_eq!(cold.cache().workspace_stats(), Default::default());
+
+        // And a cache that evicts between repeats still serves the exact
+        // same bytes after re-preparing the plan. Budget for the larger of
+        // the two plans so either fits alone but never both (scattered
+        // graphs carry bulkier tile metadata than community graphs).
+        let other = Arc::new(gen::erdos_renyi(256, 700, 9));
+        let bytes = hc_core::Plan::prepare(&g, PlanSpec::hybrid(), &dev)
+            .approx_bytes()
+            .max(hc_core::Plan::prepare(&other, PlanSpec::hybrid(), &dev).approx_bytes());
+        let evicting = in_order(bytes, ResiliencePolicy::default());
+        // Inserting the second structure evicts the first (budget of one),
+        // so the repeat of request 0 re-prepares.
+        let mut mix = trace_of(&[(0, &g), (0, &other)], 16);
+        mix.push(mix[0].clone());
+        let rep = evicting.run_trace(&mix, &dev);
+        let (before, after) = (&rep.responses[0], &rep.responses[2]);
+        assert!(!after.hit, "the plan must have been evicted");
+        assert_eq!(before.z().expect("serves"), after.z().expect("serves"));
+        assert!(rep.cache.evictions >= 1);
+    }
+
+    #[test]
+    fn in_order_hostile_inputs_fail_without_cache_traffic() {
+        let dev = DeviceSpec::rtx3090();
+        let good = Arc::new(gen::erdos_renyi(64, 300, 1));
+        let mut broken = (*good).clone();
+        broken.col_idx[0] = 10_000; // out of range
+        let broken = Arc::new(broken);
+        let mut trace = trace_of(&[(0, &broken)], 8);
+        trace.push(FrontRequest {
+            tenant: TenantId(0),
+            request: Request {
+                graph: Arc::clone(&good),
+                features: DenseMatrix::random_features(63, 8, 3),
+            },
+        });
+        let front = in_order(u64::MAX, ResiliencePolicy::default());
+        let rep = front.run_trace(&trace, &dev);
+        assert!(matches!(
+            rep.responses[0].outcome,
+            Outcome::Failed(HcError::BadInput(_))
+        ));
+        assert!(matches!(
+            rep.responses[1].outcome,
+            Outcome::Failed(HcError::ShapeMismatch { .. })
+        ));
+        // Neither hostile request touched the cache or formed a cohort.
+        assert_eq!(rep.cache.requests, 0);
+        assert_eq!(rep.counters.cohorts, 0);
+
+        // The front still serves good traffic afterwards.
+        let rep = front.run_trace(&trace_of(&[(0, &good)], 8), &dev);
+        assert!(matches!(rep.responses[0].outcome, Outcome::Ok(_)));
+    }
+
+    /// Every device launch fails its shared-memory allocation, so every
+    /// execution poisons its plan.
+    fn all_launches_fault() -> ResiliencePolicy {
+        ResiliencePolicy {
+            faults: gpu_sim::FaultConfig {
+                seed: 5,
+                bit_flip: 0.0,
+                shared_alloc_fail: 1.0,
+                timeout: 0.0,
+                launch_fail: 0.0,
+            },
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn in_order_structural_faults_degrade_and_quarantine() {
+        let dev = DeviceSpec::rtx3090();
+        let g = Arc::new(gen::erdos_renyi(128, 600, 7));
+        let fp = StructureFingerprint::of(&g);
+        let trace = trace_of(&[(0, &g); 4], 8);
+        let front = in_order(u64::MAX, all_launches_fault());
+        let rep = front.run_trace(&trace, &dev);
+        for (fr, resp) in trace.iter().zip(&rep.responses) {
+            // Every request degrades to the CPU reference — and still
+            // serves, bit-exactly.
+            match &resp.outcome {
+                Outcome::Degraded { z, fallback, .. } => {
+                    assert_eq!(*fallback, FallbackStep::CpuReference);
+                    assert_eq!(*z, fr.request.graph.spmm_reference(&fr.request.features));
+                }
+                o => panic!("expected degraded, got {o:?}"),
+            }
+            assert!(resp.wasted_sim_ms > 0.0);
+        }
+        // The structure was quarantined on the first poisoned run and
+        // never re-cached: one plain miss, then quarantine misses.
+        assert!(front.cache().is_quarantined(fp));
+        assert!(front.cache().peek(fp).is_none());
+        let s = rep.cache;
+        assert_eq!(s.hits, 0);
+        assert_eq!(s.quarantine_misses, 3);
+        assert_eq!(s.quarantined, 1);
+        assert_eq!(rep.counters.degraded, 4);
+        assert_eq!(rep.counters.quarantined_cohorts, 4);
+    }
+
+    #[test]
+    fn in_order_preset_never_cohorts_and_quarantines_before_the_next_request() {
+        let dev = DeviceSpec::rtx3090();
+        let gs = small_graphs(2);
+        let trace = trace_of(&[(0, &gs[0]), (1, &gs[1]), (0, &gs[0]), (0, &gs[1])], 8);
+
+        // Every admitted request forms its own cohort in its own epoch;
+        // nothing is shed.
+        let rep = in_order(u64::MAX, all_launches_fault()).run_trace(&trace, &dev);
+        let c = rep.counters;
+        assert_eq!((c.submitted, c.admitted, c.rejected()), (4, 4, 0));
+        assert_eq!((c.epochs, c.cohorts), (4, 4));
+        assert_eq!(c.cohort_rate(), 0.0);
+        assert!(rep.responses.iter().all(|r| r.cohort_size == 1));
+        // Request i poisons its structure; the quarantine lands at its
+        // own barrier, so request i+2 (the structure's next request) is
+        // a quarantine miss.
+        assert_eq!(rep.cache.quarantined, 2);
+        assert_eq!(rep.cache.quarantine_misses, 2);
+        assert!(rep.responses.iter().all(|r| !r.hit));
+
+        // Adjacent requests on one structure: request i+1 is the
+        // quarantine miss.
+        let back_to_back = trace_of(&[(0, &gs[0]), (1, &gs[0])], 8);
+        let rep = in_order(u64::MAX, all_launches_fault()).run_trace(&back_to_back, &dev);
+        assert_eq!(rep.cache.quarantine_misses, 1);
+
+        // Contrast: the cohorting default serves both members from one
+        // plan and quarantines only at the shared barrier.
+        let cohorted = Front::new(
+            u64::MAX,
+            PlanSpec::hybrid(),
+            1,
+            FrontConfig {
+                policy: all_launches_fault(),
+                ..Default::default()
+            },
+        );
+        let rep = cohorted.run_trace(&back_to_back, &dev);
+        assert_eq!(rep.counters.cohort_rate(), 1.0);
+        assert_eq!(rep.cache.quarantine_misses, 0);
     }
 
     #[test]

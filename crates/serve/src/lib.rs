@@ -1,27 +1,25 @@
-//! # hc-serve — structure-keyed plan cache and batched serving driver
+//! # hc-serve — structure-keyed plan cache and serving front-end
 //!
-//! First piece of the serving architecture on the ROADMAP: HC-SpMM's
-//! preprocessing is only worth its ≈13×-one-SpMM cost (Appendix F) when
-//! amortized over many invocations, and a serving workload amortizes it by
-//! *reusing plans across requests on the same graph*. This crate holds:
+//! HC-SpMM's preprocessing is only worth its ≈13×-one-SpMM cost
+//! (Appendix F) when amortized over many invocations, and a serving
+//! workload amortizes it by *reusing plans across requests on the same
+//! graph*. This crate holds:
 //!
-//! * [`PlanCache`] — maps [`graph_sparse::StructureFingerprint`] →
-//!   prepared [`hc_core::Plan`] under a byte budget with LRU eviction and
-//!   hit/miss/eviction counters;
-//! * [`BatchDriver`] — runs a stream of (graph, feature-matrix)
-//!   [`Request`]s through cached plans on the `hc-parallel` pool, each
-//!   request executed resiliently: retry, kernel-family fallback and typed
-//!   per-request [`Outcome`]s instead of panics, with fault-implicated
-//!   plans quarantined in the cache;
-//! * [`SharedPlanCache`] — the concurrent, sharded version of the cache
-//!   (fingerprint-addressed lanes + global quarantine registry) that many
-//!   threads hit at once;
-//! * [`Front`] — the multi-tenant serving front-end over the shared
-//!   cache: epoch-batched admission with per-tenant quotas and a bounded
-//!   queue (typed `Overloaded` shedding), structure-fingerprint *cohorts*
-//!   that amortize one preparation across every in-flight request on the
-//!   same graph, parallel cohort execution over worker threads, and
-//!   p50/p99 + per-tenant SLO accounting.
+//! * [`SharedPlanCache`] — maps [`graph_sparse::StructureFingerprint`] →
+//!   prepared [`hc_core::Plan`] across fingerprint-addressed lanes, each
+//!   a byte-budgeted LRU under its own lock, with hit/miss/eviction
+//!   counters and one global quarantine registry for fault-implicated
+//!   plans;
+//! * [`Front`] — the one serving path over the shared cache: epoch-batched
+//!   admission with per-tenant quotas and a bounded queue (typed
+//!   `Overloaded` shedding), structure-fingerprint *cohorts* that amortize
+//!   one preparation across every in-flight request on the same graph,
+//!   parallel cohort execution over worker threads, and p50/p99 +
+//!   per-tenant SLO accounting. Every (graph, feature-matrix) [`Request`]
+//!   runs resiliently: retry, kernel-family fallback and a typed
+//!   per-request [`Outcome`] instead of a panic.
+//!   [`FrontConfig::in_order`] is the strictly sequential, uncohorted
+//!   configuration of the same front.
 //!
 //! Requests are served in deterministic order at every layer: outputs,
 //! cache counters, cohort assignments and simulated latencies are
@@ -37,22 +35,20 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod driver;
+mod cache;
 pub mod durable;
 pub mod front;
 pub mod shared;
 pub mod snapshot;
 pub mod wal;
 
-pub use cache::{CacheStats, PlanCache};
-pub use driver::{BatchDriver, BatchSummary, Outcome, Request, Response};
+pub use cache::CacheStats;
 pub use durable::{
     run_to_completion, DurabilityConfig, DurableFront, RecoveryStats, RunAttempt, RunOutcome,
 };
 pub use front::{
     Front, FrontConfig, FrontCounters, FrontEvent, FrontReport, FrontRequest, FrontResponse,
-    LatencyStats, Mutation, MutationOutcome, TenantId, TenantStats,
+    LatencyStats, Mutation, MutationOutcome, Outcome, Request, TenantId, TenantStats,
 };
 pub use shared::{Lookup, SharedPlanCache, SwapOutcome};
 pub use snapshot::Snapshot;

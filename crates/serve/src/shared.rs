@@ -1,9 +1,9 @@
 //! Concurrent sharded plan cache.
 //!
-//! [`SharedPlanCache`] is the first genuinely concurrent piece of the
-//! serving tier: N fingerprint-addressed lanes (shards), each an
-//! independently locked [`PlanCache`] with `total_budget / N` bytes, plus
-//! one global quarantine registry shared by every lane. Callers take
+//! [`SharedPlanCache`] is the serving tier's plan cache: N
+//! fingerprint-addressed lanes (shards), each an independently locked
+//! byte-budgeted LRU with `total_budget / N` bytes, plus one global
+//! quarantine registry shared by every lane — the only quarantine set. Callers take
 //! `&self`, so the cache can sit behind an `Arc` and serve request
 //! threads directly.
 //!
@@ -15,7 +15,7 @@
 //! * **`Plan::prepare` runs outside every lock.** A lookup touches the
 //!   shard (hit → done), releases it, prepares, then re-locks to admit.
 //!   Two racers may both prepare the same plan; admission is
-//!   first-insert-wins ([`PlanCache::admit`]), so both serve the *same*
+//!   first-insert-wins (the shard's `admit`), so both serve the *same*
 //!   resident `Arc` and the loser's copy is dropped. Plans are pure
 //!   functions of (structure, spec, device), so the copies are
 //!   interchangeable bit-for-bit either way.
@@ -34,7 +34,7 @@
 //!   fingerprint is resident and none can ever be admitted again.
 //!   Requests racing *ahead* of the quarantine call may still be served
 //!   the old plan; that is inherent (the fault had not been reported
-//!   yet), identical to the single-threaded cache.
+//!   yet), identical to a one-shard cache driven from one thread.
 //!
 //! Counter semantics are inherited per shard: within each shard
 //! `requests == hits + misses` and `rejected <= misses`, and both
@@ -78,9 +78,10 @@ pub enum SwapOutcome {
     Quarantined,
 }
 
-/// Sharded, internally synchronized [`PlanCache`]: fingerprint-addressed
-/// lanes under independent locks, one shared quarantine registry. See
-/// the module docs for the concurrency contract.
+/// Sharded, internally synchronized plan cache: fingerprint-addressed
+/// LRU lanes under independent locks, one shared quarantine registry.
+/// One cache serves one [`PlanSpec`], so every cached plan executes
+/// interchangeably. See the module docs for the concurrency contract.
 pub struct SharedPlanCache {
     shards: Vec<Mutex<PlanCache>>,
     mask: usize,
@@ -96,7 +97,7 @@ impl SharedPlanCache {
         let per_shard = total_budget_bytes / n as u64;
         SharedPlanCache {
             shards: (0..n)
-                .map(|_| Mutex::named("plan-shard", PlanCache::new(per_shard, spec)))
+                .map(|_| Mutex::named("plan-shard", PlanCache::new(per_shard)))
                 .collect(),
             mask: n - 1,
             quarantine: Mutex::named("quarantine-registry", HashSet::new()),
@@ -165,9 +166,9 @@ impl SharedPlanCache {
 
     /// Flag the resident plan for `fp` stale (a mutation superseded its
     /// structure). It keeps serving — every subsequent hit is flagged and
-    /// counted in `stale_hits` — until [`swap_patched`]
-    /// (SharedPlanCache::swap_patched) retires it. Returns whether a plan
-    /// was resident to flag.
+    /// counted in `stale_hits` — until
+    /// [`swap_patched`](SharedPlanCache::swap_patched) retires it. Returns
+    /// whether a plan was resident to flag.
     pub fn mark_stale(&self, fp: StructureFingerprint) -> bool {
         self.shard(fp).lock().mark_stale(fp)
     }
@@ -198,9 +199,12 @@ impl SharedPlanCache {
             // Lock order: shard → quarantine registry.
             let mut reg = self.quarantine.lock();
             if reg.contains(&old_fp) || reg.contains(&new_fp) {
-                reg.insert(new_fp);
+                let first = reg.insert(new_fp);
                 drop(reg);
-                shard.quarantine(new_fp);
+                if first {
+                    shard.note_quarantined();
+                }
+                shard.remove(new_fp);
                 SwapOutcome::Quarantined
             } else {
                 drop(reg);
@@ -221,13 +225,17 @@ impl SharedPlanCache {
     /// Quarantine a structure after its plan produced a fault: register
     /// the fingerprint globally and evict the resident plan, both under
     /// the structure's shard lock, so no subsequent request can ever be
-    /// served a plan cached under this fingerprint. Returns true if a
-    /// plan was resident.
+    /// served a plan cached under this fingerprint. Later requests for
+    /// the structure are served by fresh plans that are never retained.
+    /// Only the first registration counts in `quarantined`. Returns true
+    /// if a plan was resident.
     pub fn quarantine(&self, fp: StructureFingerprint) -> bool {
         let mut shard = self.shard(fp).lock();
         // Lock order: shard → quarantine registry.
-        self.quarantine.lock().insert(fp);
-        shard.quarantine(fp)
+        if self.quarantine.lock().insert(fp) {
+            shard.note_quarantined();
+        }
+        shard.remove(fp)
     }
 
     /// Whether this structure is barred from residency.
@@ -319,26 +327,24 @@ impl SharedPlanCache {
         v
     }
 
-    /// Re-admit a deterministically rebuilt plan during recovery (no
-    /// traffic counted, no eviction; see
-    /// [`PlanCache::restore_resident`]). Routes to the plan's shard, so
-    /// inserting each persisted shard list in its LRU order reproduces
-    /// the pre-crash recency structure exactly.
+    /// Re-admit a deterministically rebuilt plan during recovery: no
+    /// traffic counted, nothing evicted, and a quarantined fingerprint is
+    /// never restored. Routes to the plan's shard, so inserting each
+    /// persisted shard list in its LRU order reproduces the pre-crash
+    /// recency structure exactly.
     pub fn restore_resident(&self, plan: Arc<Plan>) {
-        self.shard(plan.fingerprint).lock().restore_resident(plan);
+        let mut shard = self.shard(plan.fingerprint).lock();
+        // Lock order: shard → quarantine registry.
+        if !self.quarantine.lock().contains(&plan.fingerprint) {
+            shard.restore_resident(plan);
+        }
     }
 
-    /// Restore quarantine registrations during recovery: each fingerprint
-    /// is registered globally and in its shard, without touching the
-    /// `quarantined` counter (the persisted statistics already include
-    /// it).
+    /// Restore quarantine registrations during recovery, without touching
+    /// the `quarantined` counter (the persisted statistics already
+    /// include them).
     pub fn restore_quarantine(&self, fps: &[StructureFingerprint]) {
-        for &fp in fps {
-            let mut shard = self.shard(fp).lock();
-            // Lock order: shard → quarantine registry.
-            self.quarantine.lock().insert(fp);
-            shard.restore_quarantined(fp);
-        }
+        self.quarantine.lock().extend(fps.iter().copied());
     }
 
     /// Seed the aggregate statistics from persisted state (written into
@@ -496,14 +502,25 @@ mod tests {
         let cache = SharedPlanCache::new(u64::MAX / 4, PlanSpec::hybrid(), 4);
         let (poisoned, _) = cache.get_or_prepare(&gs[0], &dev);
         assert!(cache.quarantine(fp), "resident plan must be evicted");
+        assert!(cache.peek(fp).is_none());
         assert!(cache.is_quarantined(fp));
         assert_eq!(cache.stats().quarantined, 1);
+        // Idempotent: re-quarantining doesn't double-count.
+        assert!(!cache.quarantine(fp));
+        assert_eq!(cache.stats().quarantined, 1);
+        // The structure still gets served — by fresh plans, never the
+        // poisoned Arc, never retained.
         for _ in 0..2 {
             let (plan, hit) = cache.get_or_prepare(&gs[0], &dev);
             assert!(!hit);
             assert!(!Arc::ptr_eq(&plan, &poisoned));
+            assert!(cache.peek(fp).is_none());
         }
         assert_eq!(cache.stats().quarantine_misses, 2);
+        assert_eq!(cache.bytes_used(), 0);
+        // Recovery never restores a quarantined structure either.
+        cache.restore_resident(poisoned);
+        assert!(cache.peek(fp).is_none());
         // Unrelated structures are unaffected.
         cache.get_or_prepare(&gs[1], &dev);
         let (_, hit) = cache.get_or_prepare(&gs[1], &dev);

@@ -8,9 +8,9 @@ use std::sync::Arc;
 
 use gpu_sim::DeviceSpec;
 use graph_sparse::{gen, io, Csr, DenseMatrix};
-use hc_core::{KernelFamily, Plan, PlanSpec};
+use hc_core::{KernelFamily, Plan, PlanSpec, ResiliencePolicy};
 use hc_parallel::sync::thread;
-use hc_serve::{BatchDriver, PlanCache, Request, SharedPlanCache};
+use hc_serve::{Front, FrontConfig, FrontRequest, Request, SharedPlanCache, TenantId};
 
 fn karate() -> Csr {
     io::read_edge_list_file(concat!(
@@ -36,40 +36,13 @@ fn cold(a: &Csr, x: &DenseMatrix, spec: PlanSpec, dev: &DeviceSpec) -> DenseMatr
 }
 
 #[test]
-fn cached_plans_are_bit_identical_to_cold_for_every_family() {
-    let dev = DeviceSpec::rtx3090();
-    for family in KernelFamily::ALL {
-        let spec = PlanSpec {
-            family,
-            use_loa: false,
-        };
-        let mut cache = PlanCache::new(u64::MAX, spec);
-        for (name, a) in &test_graphs() {
-            let x = DenseMatrix::random_features(a.ncols, 16, 21);
-            let want = cold(a, &x, spec, &dev);
-            // Miss, then hit: both must equal the cold path exactly.
-            for round in 0..2 {
-                let (plan, hit) = cache.get_or_prepare(a, &dev);
-                assert_eq!(hit, round > 0);
-                assert_eq!(
-                    plan.execute(a, &x, &dev).z,
-                    want,
-                    "{} on {name}: cached output (round {round}) differs from cold",
-                    family.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn loa_cached_plans_match_cold_on_square_graphs() {
     let dev = DeviceSpec::rtx3090();
     let spec = PlanSpec {
         family: KernelFamily::Hybrid,
         use_loa: true,
     };
-    let mut cache = PlanCache::new(u64::MAX, spec);
+    let cache = SharedPlanCache::new(u64::MAX, spec, 1);
     for (name, a) in &test_graphs() {
         let x = DenseMatrix::random_features(a.ncols, 8, 22);
         let want = cold(a, &x, spec, &dev);
@@ -84,19 +57,18 @@ fn loa_cached_plans_match_cold_on_square_graphs() {
     }
 }
 
-/// The concurrent sharded cache inherits the same contract: plans served
-/// through `SharedPlanCache` — hit or miss, from any number of threads —
+/// Plans served through the cache — one lane or several, hit or miss —
 /// must be bit-identical to a cold prepare-per-request, for every kernel
 /// family.
 #[test]
-fn shared_cache_is_bit_identical_to_cold_for_every_family() {
+fn cached_plans_are_bit_identical_to_cold_for_every_family() {
     let dev = DeviceSpec::rtx3090();
-    for family in KernelFamily::ALL {
+    for (family, shards) in KernelFamily::ALL.into_iter().flat_map(|f| [(f, 1), (f, 4)]) {
         let spec = PlanSpec {
             family,
             use_loa: false,
         };
-        let cache = SharedPlanCache::new(u64::MAX / 8, spec, 4);
+        let cache = SharedPlanCache::new(u64::MAX / 8, spec, shards);
         for (name, a) in &test_graphs() {
             let x = DenseMatrix::random_features(a.ncols, 16, 21);
             let want = cold(a, &x, spec, &dev);
@@ -106,7 +78,8 @@ fn shared_cache_is_bit_identical_to_cold_for_every_family() {
                 assert_eq!(
                     plan.execute(a, &x, &dev).z,
                     want,
-                    "{} on {name}: shared-cache output (round {round}) differs from cold",
+                    "{} on {name}, {shards} shard(s): cached output (round {round}) \
+                     differs from cold",
                     family.name()
                 );
             }
@@ -172,19 +145,27 @@ fn eviction_and_reprepare_keep_outputs_bit_identical() {
         .map(|g| Plan::prepare(g, spec, &dev).approx_bytes())
         .collect();
     let budget = sizes.iter().max().unwrap() + sizes.iter().min().unwrap();
-    let mut driver = BatchDriver::new(budget, spec);
+    let front = Front::new(
+        budget,
+        spec,
+        1,
+        FrontConfig::in_order(ResiliencePolicy::default()),
+    );
 
-    let requests: Vec<Request> = (0..3)
+    let requests: Vec<FrontRequest> = (0..3)
         .flat_map(|round| {
-            graphs.iter().enumerate().map(move |(i, g)| Request {
-                graph: Arc::clone(g),
-                features: DenseMatrix::random_features(g.ncols, 8, (round * 10 + i) as u64),
+            graphs.iter().enumerate().map(move |(i, g)| FrontRequest {
+                tenant: TenantId(0),
+                request: Request {
+                    graph: Arc::clone(g),
+                    features: DenseMatrix::random_features(g.ncols, 8, (round * 10 + i) as u64),
+                },
             })
         })
         .collect();
-    let responses = driver.run(&requests, &dev);
+    let report = front.run_trace(&requests, &dev);
 
-    let stats = driver.stats();
+    let stats = report.cache;
     assert_eq!(stats.requests, requests.len() as u64);
     assert_eq!(stats.hits + stats.misses, stats.requests);
     assert_eq!(stats.rejected, 0, "every plan fits the budget individually");
@@ -193,8 +174,8 @@ fn eviction_and_reprepare_keep_outputs_bit_identical() {
         "budget was meant to force evictions; got {stats:?}"
     );
 
-    for (req, resp) in requests.iter().zip(&responses) {
-        let want = cold(&req.graph, &req.features, spec, &dev);
+    for (fr, resp) in requests.iter().zip(&report.responses) {
+        let want = cold(&fr.request.graph, &fr.request.features, spec, &dev);
         assert_eq!(
             resp.z().expect("faults off: every request serves"),
             &want,

@@ -1,4 +1,5 @@
-//! Chaos suite: randomized fault schedules against the batched driver.
+//! Chaos suite: randomized fault schedules against the in-order front
+//! (`FrontConfig::in_order`: one request per epoch, no cohorts).
 //!
 //! The serving contract under test:
 //!
@@ -17,7 +18,7 @@ use std::sync::Arc;
 use gpu_sim::{DeviceSpec, FaultConfig};
 use graph_sparse::{gen, Csr, DenseMatrix, StructureFingerprint};
 use hc_core::{FallbackStep, KernelFamily, PlanSpec, ResiliencePolicy};
-use hc_serve::{BatchDriver, Outcome, Request};
+use hc_serve::{Front, FrontConfig, FrontRequest, Outcome, Request, TenantId};
 use proptest::prelude::*;
 
 fn graphs() -> Vec<Arc<Csr>> {
@@ -28,17 +29,24 @@ fn graphs() -> Vec<Arc<Csr>> {
     ]
 }
 
-fn requests(n: usize) -> Vec<Request> {
+fn requests(n: usize) -> Vec<FrontRequest> {
     let gs = graphs();
     (0..n)
         .map(|i| {
             let g = Arc::clone(&gs[i % gs.len()]);
-            Request {
-                features: DenseMatrix::random_features(g.ncols, 8, 100 + i as u64),
-                graph: g,
+            FrontRequest {
+                tenant: TenantId(0),
+                request: Request {
+                    features: DenseMatrix::random_features(g.ncols, 8, 100 + i as u64),
+                    graph: g,
+                },
             }
         })
         .collect()
+}
+
+fn in_order(budget: u64, spec: PlanSpec, policy: ResiliencePolicy) -> Front {
+    Front::new(budget, spec, 1, FrontConfig::in_order(policy))
 }
 
 proptest! {
@@ -64,16 +72,21 @@ proptest! {
             faults: FaultConfig::uniform(seed, rate),
             ..Default::default()
         };
-        let reqs = requests(9);
-
-        let mut driver = BatchDriver::with_policy(budget, spec, policy);
-        let mut quarantined_before_serve: Vec<bool> = Vec::new();
-        let mut responses = Vec::new();
-        for req in &reqs {
-            let fp = StructureFingerprint::of(&req.graph);
-            quarantined_before_serve.push(driver.cache.is_quarantined(fp));
-            responses.push(driver.serve(req, &dev));
-        }
+        let trace = requests(9);
+        let front = in_order(budget, spec, policy);
+        let responses = front.run_trace(&trace, &dev).responses;
+        let reqs: Vec<&Request> = trace.iter().map(|fr| &fr.request).collect();
+        // The cache as request i found it: serving is deterministic, so a
+        // fresh front that served only the first i requests holds it.
+        let quarantined_before_serve: Vec<bool> = reqs
+            .iter()
+            .enumerate()
+            .map(|(i, req)| {
+                let prefix = in_order(budget, spec, policy);
+                prefix.run_trace(&trace[..i], &dev);
+                prefix.cache().is_quarantined(StructureFingerprint::of(&req.graph))
+            })
+            .collect();
 
         // Fault-free references per (structure, step) — plans prepared
         // outside any fault scope.
@@ -122,20 +135,20 @@ proptest! {
             if quarantined_before_serve[i] {
                 prop_assert!(!resp.hit, "request {}: served a quarantined structure from cache", i);
             }
-            if driver.cache.is_quarantined(fp) {
+            if front.cache().is_quarantined(fp) {
                 seen_quarantine.insert(fp);
             }
         }
         // And the cache agrees nothing quarantined is resident.
         for fp in seen_quarantine {
-            prop_assert!(!driver.cache.contains(fp));
+            prop_assert!(front.cache().peek(fp).is_none());
         }
-        let s = driver.stats();
+        let s = front.cache().stats();
         prop_assert_eq!(s.hits + s.misses, s.requests);
         prop_assert_eq!(s.quarantined as usize, {
             let mut q = 0;
             for g in graphs() {
-                if driver.cache.is_quarantined(StructureFingerprint::of(&g)) {
+                if front.cache().is_quarantined(StructureFingerprint::of(&g)) {
                     q += 1;
                 }
             }
@@ -144,7 +157,7 @@ proptest! {
     }
 
     /// Resilience must be invisible when faults are off: the resilient
-    /// driver's stream equals the default driver's, bit for bit, outcome
+    /// front's stream equals the default front's, bit for bit, outcome
     /// for outcome.
     #[test]
     fn disabled_faults_are_bit_identical_to_plain_serving(
@@ -155,23 +168,22 @@ proptest! {
         let spec = PlanSpec { family: KernelFamily::ALL[family_ix], use_loa: false };
         let reqs = requests(n);
 
-        let mut plain = BatchDriver::new(u64::MAX, spec);
-        let mut resilient = BatchDriver::with_policy(
+        let a = in_order(u64::MAX, spec, ResiliencePolicy::default()).run_trace(&reqs, &dev);
+        let b = in_order(
             u64::MAX,
             spec,
             ResiliencePolicy { faults: FaultConfig::off(), ..Default::default() },
-        );
-        let a = plain.run(&reqs, &dev);
-        let b = resilient.run(&reqs, &dev);
-        prop_assert_eq!(a.len(), b.len());
-        for (ra, rb) in a.iter().zip(&b) {
+        )
+        .run_trace(&reqs, &dev);
+        prop_assert_eq!(a.responses.len(), b.responses.len());
+        for (ra, rb) in a.responses.iter().zip(&b.responses) {
             prop_assert_eq!(&ra.outcome, &rb.outcome);
             prop_assert!(matches!(ra.outcome, Outcome::Ok(_)));
             prop_assert_eq!(ra.hit, rb.hit);
             prop_assert_eq!(ra.wasted_sim_ms, 0.0);
         }
-        prop_assert_eq!(plain.stats(), resilient.stats());
-        prop_assert_eq!(plain.stats().quarantined, 0);
+        prop_assert_eq!(a.cache, b.cache);
+        prop_assert_eq!(a.cache.quarantined, 0);
     }
 
     /// Same seed, same schedule, same everything: a chaos batch re-run is
@@ -189,9 +201,8 @@ proptest! {
         };
         let reqs = requests(8);
         let run = || {
-            let mut d = BatchDriver::with_policy(u64::MAX, spec, policy);
-            let rs = d.run(&reqs, &dev);
-            (rs, d.stats())
+            let rep = in_order(u64::MAX, spec, policy).run_trace(&reqs, &dev);
+            (rep.responses, rep.cache)
         };
         let (ra, sa) = run();
         let (rb, sb) = run();

@@ -9,9 +9,9 @@
 //! * quarantined fingerprints are **never** served from residency, and
 //!   the poisoned `Arc` is never handed out again.
 //!
-//! The single-threaded `PlanCache` is hammered through the same workload
-//! (serially) as the control: the sharded cache must agree with it on
-//! every deterministic counter.
+//! A one-shard cache is driven through the same workload (serially) as
+//! the control: the four-shard cache must agree with it on every
+//! deterministic counter.
 
 use std::sync::Arc;
 
@@ -20,7 +20,7 @@ use graph_sparse::{gen, Csr, StructureFingerprint};
 use hc_core::PlanSpec;
 use hc_parallel::sync::thread;
 use hc_parallel::sync::{AtomicU64, Ordering};
-use hc_serve::{PlanCache, SharedPlanCache};
+use hc_serve::SharedPlanCache;
 
 fn graphs(n: usize) -> Vec<Csr> {
     (0..n)
@@ -100,7 +100,7 @@ fn single_thread_matches_unsharded_control_exactly() {
     let dev = DeviceSpec::rtx3090();
     let gs = graphs(5);
     let shared = SharedPlanCache::new(u64::MAX / 16, PlanSpec::hybrid(), 4);
-    let mut control = PlanCache::new(u64::MAX / 16, PlanSpec::hybrid());
+    let control = SharedPlanCache::new(u64::MAX / 16, PlanSpec::hybrid(), 1);
     for round in 0..3 {
         for g in &gs {
             let (_, hit_s) = shared.get_or_prepare(g, &dev);

@@ -1,8 +1,8 @@
 //! Command-line interface for the `hc-spmm` binary.
 //!
 //! Hand-rolled flag parsing (no CLI dependency): subcommands `datasets`,
-//! `spmm`, `batch`, `loa`, `train`, `selector`. Run `hc-spmm help` for
-//! usage.
+//! `metrics`, `spmm`, `serve-load` (alias `batch`), `serve-churn`, `loa`,
+//! `train`, `selector`, `sanitize`. Run `hc-spmm help` for usage.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,9 +14,11 @@ use gnn::{Gcn, Gin};
 use gpu_sim::sanitizer::SanitizerConfig;
 use gpu_sim::{DeviceKind, DeviceSpec};
 use graph_sparse::{gen, io, Csr, DatasetId, DenseMatrix};
-use hc_core::ResiliencePolicy;
-use hc_core::{sanitize_family, HcSpmm, KernelFamily, Loa, PlanSpec, SampleSpec, SpmmKernel};
-use hc_serve::{BatchDriver, BatchSummary, Outcome, Request};
+use hc_core::{
+    sanitize_family, FallbackStep, HcSpmm, KernelFamily, Loa, PlanSpec, ResiliencePolicy,
+    SampleSpec, SpmmKernel,
+};
+use hc_serve::{FrontConfig, Outcome, Request};
 
 /// Entry point; returns the process exit code.
 pub fn run(args: Vec<String>) -> i32 {
@@ -39,8 +41,7 @@ pub fn run(args: Vec<String>) -> i32 {
         "datasets" => cmd_datasets(),
         "metrics" => cmd_metrics(&flags),
         "spmm" => cmd_spmm(&flags),
-        "batch" => cmd_batch(&flags),
-        "serve-load" => cmd_serve_load(&flags),
+        "serve-load" | "batch" => cmd_serve_load(&flags),
         "serve-churn" => cmd_serve_churn(&flags),
         "loa" => cmd_loa(&flags),
         "train" => cmd_train(&flags),
@@ -67,22 +68,11 @@ USAGE:
   hc-spmm spmm     [--dataset CODE | --edge-list FILE] [--scale N]
                    [--kernel hc|cusparse|sputnik|ge|tcgnn|dtc] [--dim N]
                    [--gpu 3090|4090|a100]        run one SpMM, report time
-  hc-spmm batch    [--requests N] [--graphs N] [--cache-bytes B] [--dim N]
-                   [--kernel straightforward|cuda|tensor|hybrid] [--loa]
-                   [--nodes N] [--gpu 3090|4090|a100]
-                   [--fault-rate P] [--fault-seed S] [--max-retries N]
-                   serve a round-robin request stream through the
-                   structure-keyed plan cache; reports per-request
-                   hit/miss and outcome, amortized vs cold cost, cache
-                   counters, and degradation stats. --fault-rate injects
-                   a deterministic device-fault schedule; faulted
-                   requests retry, fall back (tensor → cuda →
-                   straightforward → CPU) or fail with a typed error.
-                   Exits 1 if any request failed.
   hc-spmm serve-load [--requests N] [--graphs N] [--tenants N] [--nodes N]
                    [--dim N] [--cache-bytes B] [--workers N]
                    [--queue-depth N] [--tenant-quota N] [--epoch N]
                    [--max-cohort N] [--slo-ms MS] [--gpu 3090|4090|a100]
+                   [--kernel straightforward|cuda|tensor|hybrid] [--loa]
                    [--fault-rate P] [--fault-seed S] [--max-retries N]
                    push a multi-tenant request mix through the concurrent
                    serving front-end: epoch-batched admission with
@@ -91,8 +81,13 @@ USAGE:
                    amortize one plan preparation across every in-flight
                    request on the same graph, and p50/p99 simulated
                    latency plus per-tenant SLO accounting. Deterministic
-                   at any --workers count. Exits 1 if any admitted
-                   request failed.
+                   at any --workers count. --fault-rate injects a
+                   deterministic device-fault schedule; faulted requests
+                   retry, fall back (tensor → cuda → straightforward →
+                   CPU) or fail with a typed error. --epoch 1
+                   --max-cohort 1 serves strictly in order. Exits 1 if
+                   any admitted request failed.
+  hc-spmm batch    alias of serve-load.
   hc-spmm serve-churn [--requests N] [--mutations N] [--graphs N]
                    [--tenants N] [--nodes N] [--dim N] [--cache-bytes B]
                    [--workers N] [--queue-depth N] [--tenant-quota N]
@@ -288,202 +283,37 @@ fn cmd_spmm(flags: &HashMap<String, String>) -> i32 {
     0
 }
 
-fn cmd_batch(flags: &HashMap<String, String>) -> i32 {
-    let dev = device_for(flags);
-    let requests = flag_usize(flags, "requests", 32);
-    let distinct = flag_usize(flags, "graphs", 4).max(1);
-    let nodes = flag_usize(flags, "nodes", 1024);
-    let dim = flag_usize(flags, "dim", 32);
-    let cache_bytes = match flags.get("cache-bytes") {
-        None => 64 << 20,
-        Some(v) => match v.parse::<u64>() {
-            Ok(b) => b,
-            Err(_) => {
-                eprintln!("--cache-bytes requires a byte count, got {v:?}");
-                return 2;
-            }
+/// `--{key}` parsed as a `T` that `valid` accepts, or `default` when the
+/// flag is absent; the error names the flag and what it `expects`.
+fn flag_parse<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: T,
+    valid: impl Fn(&T) -> bool,
+    expects: &str,
+) -> Result<T, String> {
+    match flags.get(key) {
+        None => Ok(default),
+        Some(v) => match v.parse::<T>() {
+            Ok(x) if valid(&x) => Ok(x),
+            _ => Err(format!("--{key} requires {expects}, got {v:?}")),
         },
-    };
-    let family = match flags.get("kernel") {
-        None => KernelFamily::Hybrid,
-        Some(name) => match KernelFamily::parse(name) {
-            Some(f) => f,
-            None => {
-                eprintln!("unknown kernel family {name:?} (straightforward|cuda|tensor|hybrid)");
-                return 2;
-            }
-        },
-    };
-    let spec = PlanSpec {
-        family,
-        use_loa: flags.contains_key("loa"),
-    };
-    let fault_rate = match flags.get("fault-rate") {
-        None => 0.0,
-        Some(v) => match v.parse::<f64>() {
-            Ok(r) if (0.0..=1.0).contains(&r) => r,
-            _ => {
-                eprintln!("--fault-rate requires a probability in [0, 1], got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let fault_seed = match flags.get("fault-seed") {
-        None => 42,
-        Some(v) => match v.parse::<u64>() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("--fault-seed requires an integer, got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let policy = ResiliencePolicy {
-        max_retries: flag_usize(flags, "max-retries", 2) as u32,
-        faults: gpu_sim::FaultConfig::uniform(fault_seed, fault_rate),
-        ..Default::default()
-    };
-
-    // A serving mix: `distinct` structurally different graphs, requests
-    // round-robin across them so every graph past the first round hits.
-    let graphs: Vec<Arc<Csr>> = (0..distinct)
-        .map(|s| Arc::new(gen::community(nodes, nodes * 8, 16, 0.9, s as u64 + 1)))
-        .collect();
-    let stream: Vec<Request> = (0..requests)
-        .map(|i| Request {
-            graph: Arc::clone(&graphs[i % distinct]),
-            features: DenseMatrix::random_features(nodes, dim, i as u64),
-        })
-        .collect();
-
-    println!(
-        "batch: {requests} requests over {distinct} graphs ({nodes} vertices, dim {dim}), \
-         {} plans, cache budget {cache_bytes} B, {:?}",
-        family.name(),
-        dev.kind
-    );
-    if fault_rate > 0.0 {
-        println!("fault injection: rate {fault_rate}, seed {fault_seed}");
-    }
-    let mut driver = BatchDriver::with_policy(cache_bytes, spec, policy);
-    let responses = driver.run(&stream, &dev);
-    let mut exec_total = 0.0;
-    let mut prepare_total = 0.0;
-    for (i, r) in responses.iter().enumerate() {
-        let outcome = match &r.outcome {
-            Outcome::Ok(_) => "ok".to_string(),
-            Outcome::Degraded {
-                fallback, retries, ..
-            } => format!("degraded via {} ({retries} retries)", fallback.name()),
-            Outcome::Failed(e) => format!("failed: {e}"),
-        };
-        println!(
-            "  request {i:>3}: {}  exec {:>8.4} ms  prepare {:>8.4} ms  {outcome}",
-            if r.hit { "hit " } else { "miss" },
-            r.exec_sim_ms,
-            r.prepare_sim_ms
-        );
-        exec_total += r.exec_sim_ms;
-        prepare_total += r.prepare_sim_ms;
-    }
-    let s = driver.stats();
-    let n = responses.len() as f64;
-    // Cold = what every request would cost if nothing were ever cached:
-    // each would pay its own preparation on top of the SpMM.
-    let cold_prepare: f64 = responses
-        .iter()
-        .filter(|r| !r.hit)
-        .map(|r| r.prepare_sim_ms)
-        .sum::<f64>()
-        / s.misses.max(1) as f64;
-    println!(
-        "amortized {:.4} ms/request vs cold {:.4} ms/request (sim)",
-        (exec_total + prepare_total) / n,
-        exec_total / n + cold_prepare
-    );
-    println!(
-        "cache: {} hits / {} misses ({} evictions, {} rejected) — hit rate {:.1}%, \
-         {} plans resident, {} / {} B used",
-        s.hits,
-        s.misses,
-        s.evictions,
-        s.rejected,
-        s.hit_rate() * 100.0,
-        driver.cache.len(),
-        driver.cache.bytes_used(),
-        driver.cache.budget()
-    );
-    let sum = BatchSummary::of(&responses, family);
-    println!(
-        "degradation: {} ok / {} degraded / {} failed — rate {:.1}%, {} retries, \
-         {} fallbacks, {:.4} ms wasted (sim), {} structures quarantined",
-        sum.ok,
-        sum.degraded,
-        sum.failed,
-        sum.degraded_rate() * 100.0,
-        sum.retries,
-        sum.fallbacks,
-        sum.wasted_sim_ms,
-        s.quarantined
-    );
-    // Failed requests are an internal-fault outcome: exit 1, not 2 (the
-    // inputs were fine; the device wasn't).
-    if sum.failed > 0 {
-        eprintln!("batch: {} request(s) failed", sum.failed);
-        1
-    } else {
-        0
     }
 }
 
-fn cmd_serve_load(flags: &HashMap<String, String>) -> i32 {
-    use hc_serve::{Front, FrontConfig, FrontRequest, TenantId};
-    let dev = device_for(flags);
-    let requests = flag_usize(flags, "requests", 48);
-    let distinct = flag_usize(flags, "graphs", 4).max(1);
-    let tenants = flag_usize(flags, "tenants", 4).max(1);
-    let nodes = flag_usize(flags, "nodes", 1024);
-    let dim = flag_usize(flags, "dim", 32);
-    let cache_bytes = match flags.get("cache-bytes") {
-        None => 64 << 20,
-        Some(v) => match v.parse::<u64>() {
-            Ok(b) => b,
-            Err(_) => {
-                eprintln!("--cache-bytes requires a byte count, got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let slo_sim_ms = match flags.get("slo-ms") {
-        None => 50.0,
-        Some(v) => match v.parse::<f64>() {
-            Ok(ms) if ms > 0.0 => ms,
-            _ => {
-                eprintln!("--slo-ms requires a positive number of ms, got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let fault_rate = match flags.get("fault-rate") {
-        None => 0.0,
-        Some(v) => match v.parse::<f64>() {
-            Ok(r) if (0.0..=1.0).contains(&r) => r,
-            _ => {
-                eprintln!("--fault-rate requires a probability in [0, 1], got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let fault_seed = match flags.get("fault-seed") {
-        None => 42,
-        Some(v) => match v.parse::<u64>() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("--fault-seed requires an integer, got {v:?}");
-                return 2;
-            }
-        },
-    };
+/// The cache budget and front-end knobs `serve-load` and `serve-churn`
+/// share: `--cache-bytes`, `--slo-ms`, `--workers`, `--queue-depth`,
+/// `--tenant-quota`, `--epoch` and `--max-cohort`. The policy is the
+/// default one; `serve-load` layers its fault flags on top.
+fn front_flags(flags: &HashMap<String, String>) -> Result<(u64, FrontConfig), String> {
+    let cache_bytes = flag_parse(flags, "cache-bytes", 64 << 20, |_| true, "a byte count")?;
+    let slo_sim_ms = flag_parse(
+        flags,
+        "slo-ms",
+        50.0,
+        |&ms| ms > 0.0,
+        "a positive number of ms",
+    )?;
     let cfg = FrontConfig {
         workers: flag_usize(flags, "workers", 0),
         queue_depth: flag_usize(flags, "queue-depth", 16),
@@ -491,11 +321,51 @@ fn cmd_serve_load(flags: &HashMap<String, String>) -> i32 {
         arrivals_per_epoch: flag_usize(flags, "epoch", 16),
         max_cohort: flag_usize(flags, "max-cohort", 8),
         slo_sim_ms,
-        policy: ResiliencePolicy {
-            max_retries: flag_usize(flags, "max-retries", 2) as u32,
-            faults: gpu_sim::FaultConfig::uniform(fault_seed, fault_rate),
-            ..Default::default()
-        },
+        policy: ResiliencePolicy::default(),
+    };
+    Ok((cache_bytes, cfg))
+}
+
+fn cmd_serve_load(flags: &HashMap<String, String>) -> i32 {
+    use hc_serve::{Front, FrontRequest, TenantId};
+    let dev = device_for(flags);
+    let requests = flag_usize(flags, "requests", 48);
+    let distinct = flag_usize(flags, "graphs", 4).max(1);
+    let tenants = flag_usize(flags, "tenants", 4).max(1);
+    let nodes = flag_usize(flags, "nodes", 1024);
+    let dim = flag_usize(flags, "dim", 32);
+    let parsed = front_flags(flags).and_then(|(cache_bytes, cfg)| {
+        let family = match flags.get("kernel") {
+            None => KernelFamily::Hybrid,
+            Some(name) => KernelFamily::parse(name).ok_or_else(|| {
+                format!("unknown kernel family {name:?} (straightforward|cuda|tensor|hybrid)")
+            })?,
+        };
+        let fault_rate = flag_parse(
+            flags,
+            "fault-rate",
+            0.0,
+            |r| (0.0..=1.0).contains(r),
+            "a probability in [0, 1]",
+        )?;
+        let fault_seed = flag_parse(flags, "fault-seed", 42, |_| true, "an integer")?;
+        Ok((cache_bytes, cfg, family, fault_rate, fault_seed))
+    });
+    let (cache_bytes, mut cfg, family, fault_rate, fault_seed) = match parsed {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
+        }
+    };
+    let spec = PlanSpec {
+        family,
+        use_loa: flags.contains_key("loa"),
+    };
+    cfg.policy = ResiliencePolicy {
+        max_retries: flag_usize(flags, "max-retries", 2) as u32,
+        faults: gpu_sim::FaultConfig::uniform(fault_seed, fault_rate),
+        ..Default::default()
     };
 
     // The serving mix: `distinct` structures round-robin (cohort
@@ -517,13 +387,20 @@ fn cmd_serve_load(flags: &HashMap<String, String>) -> i32 {
     println!(
         "serve-load: {requests} arrivals from {tenants} tenants over {distinct} graphs \
          ({nodes} vertices, dim {dim}), epochs of {}, queue {}, quota {}/tenant, \
-         cohorts ≤ {}, SLO {slo_sim_ms} ms (sim), cache budget {cache_bytes} B, {:?}",
-        cfg.arrivals_per_epoch, cfg.queue_depth, cfg.tenant_quota, cfg.max_cohort, dev.kind
+         cohorts ≤ {}, SLO {} ms (sim), {}{} plans, cache budget {cache_bytes} B, {:?}",
+        cfg.arrivals_per_epoch,
+        cfg.queue_depth,
+        cfg.tenant_quota,
+        cfg.max_cohort,
+        cfg.slo_sim_ms,
+        family.name(),
+        if spec.use_loa { "+LOA" } else { "" },
+        dev.kind
     );
     if fault_rate > 0.0 {
         println!("fault injection: rate {fault_rate}, seed {fault_seed}");
     }
-    let front = Front::new(cache_bytes, PlanSpec::hybrid(), 4, cfg);
+    let front = Front::new(cache_bytes, spec, 4, cfg);
     let rep = front.run_trace(&trace, &dev);
     for r in &rep.responses {
         let outcome = match &r.outcome {
@@ -602,12 +479,29 @@ fn cmd_serve_load(flags: &HashMap<String, String>) -> i32 {
             t.p99_sim_ms
         );
     }
+    let (mut retries, mut fallbacks, mut wasted_sim_ms) = (0u64, 0u64, 0.0f64);
+    for r in &rep.responses {
+        wasted_sim_ms += r.wasted_sim_ms;
+        if let Outcome::Degraded {
+            fallback,
+            retries: n,
+            ..
+        } = &r.outcome
+        {
+            retries += u64::from(*n);
+            if *fallback != FallbackStep::Family(family) {
+                fallbacks += 1;
+            }
+        }
+    }
     println!(
-        "outcomes: {} ok / {} degraded / {} failed",
-        c.ok, c.degraded, c.failed
+        "outcomes: {} ok / {} degraded / {} failed — {retries} retries, {fallbacks} \
+         fallbacks, {wasted_sim_ms:.4} ms wasted (sim), {} structures quarantined",
+        c.ok, c.degraded, c.failed, rep.cache.quarantined
     );
-    // Like `batch`: post-admission failures are an internal-fault
-    // outcome (exit 1); shed requests are the front doing its job.
+    // Post-admission failures are an internal-fault outcome (exit 1: the
+    // inputs were fine, the device wasn't); shed requests are the front
+    // doing its job.
     if c.failed > 0 {
         eprintln!("serve-load: {} admitted request(s) failed", c.failed);
         1
@@ -643,7 +537,7 @@ fn churn_delta(g: &Csr, salt: u64) -> Option<graph_sparse::DeltaCsr> {
 }
 
 fn cmd_serve_churn(flags: &HashMap<String, String>) -> i32 {
-    use hc_serve::{Front, FrontConfig, FrontEvent, FrontRequest, Mutation, TenantId};
+    use hc_serve::{Front, FrontEvent, FrontRequest, Mutation, TenantId};
     let dev = device_for(flags);
     let requests = flag_usize(flags, "requests", 48);
     let mutations = flag_usize(flags, "mutations", 4);
@@ -651,34 +545,12 @@ fn cmd_serve_churn(flags: &HashMap<String, String>) -> i32 {
     let tenants = flag_usize(flags, "tenants", 4).max(1);
     let nodes = flag_usize(flags, "nodes", 1024);
     let dim = flag_usize(flags, "dim", 32);
-    let cache_bytes = match flags.get("cache-bytes") {
-        None => 64 << 20,
-        Some(v) => match v.parse::<u64>() {
-            Ok(b) => b,
-            Err(_) => {
-                eprintln!("--cache-bytes requires a byte count, got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let slo_sim_ms = match flags.get("slo-ms") {
-        None => 50.0,
-        Some(v) => match v.parse::<f64>() {
-            Ok(ms) if ms > 0.0 => ms,
-            _ => {
-                eprintln!("--slo-ms requires a positive number of ms, got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let cfg = FrontConfig {
-        workers: flag_usize(flags, "workers", 0),
-        queue_depth: flag_usize(flags, "queue-depth", 16),
-        tenant_quota: flag_usize(flags, "tenant-quota", 8),
-        arrivals_per_epoch: flag_usize(flags, "epoch", 16),
-        max_cohort: flag_usize(flags, "max-cohort", 8),
-        slo_sim_ms,
-        policy: ResiliencePolicy::default(),
+    let (cache_bytes, cfg) = match front_flags(flags) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
+        }
     };
 
     // Evolving structures: requests always target the *current* version
@@ -1299,6 +1171,7 @@ mod tests {
             ("--slo-ms", "-3"),
             ("--fault-rate", "1.5"),
             ("--fault-seed", "nope"),
+            ("--kernel", "bogus"),
         ] {
             assert_eq!(
                 run(vec!["serve-load".into(), flag.into(), bad.into()]),
